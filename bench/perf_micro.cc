@@ -57,14 +57,18 @@ void BM_McPageRead(benchmark::State& state) {
 }
 BENCHMARK(BM_McPageRead);
 
+// Rotates wordlines like the BM_Mc* cases: the block memoizes the last
+// wordline's present Vth, so rescanning one wordline would time a copy.
 void BM_ReadRetryScan(benchmark::State& state) {
   const auto params = flash::FlashModelParams::default_2ynm();
   nand::Chip chip(nand::Geometry{64, 8192, 1}, params, 4);
   auto& block = chip.block(0);
   block.add_wear(8000);
   block.program_random();
+  std::uint32_t wl = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(block.read_retry_scan(5, 0.0, 520.0, 0.5));
+    benchmark::DoNotOptimize(block.read_retry_scan(wl, 0.0, 520.0, 0.5));
+    wl = (wl + 1) % block.geometry().wordlines_per_block;
   }
   state.SetItemsProcessed(state.iterations() * 8192);
 }

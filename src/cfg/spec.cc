@@ -108,6 +108,15 @@ void parse_drive(Config& config, DriveSpec* drive,
       config, "drive.bitlines", drive->bitlines, 1, 1u << 20, diags));
   drive->pre_wear_pe =
       config.get_u64("drive.pre_wear_pe", drive->pre_wear_pe, diags);
+  // Read Disturb Recovery disturbs a wordline by reading a sibling one, so
+  // a Monte Carlo block needs at least two.
+  if (!drive->is_analytic() && drive->wordlines_per_block < 2) {
+    std::ostringstream msg;
+    msg << "value " << drive->wordlines_per_block
+        << " too small: Monte Carlo backends need at least 2 wordlines per "
+           "block (read-disturb recovery reads a sibling wordline)";
+    diags->push_back({0, "drive.wordlines_per_block", msg.str()});
+  }
 
   // Cross-field feasibility: GC can only ever reach gc_free_target free
   // blocks if the overprovisioned slack exceeds it (with one block of

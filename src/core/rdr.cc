@@ -1,8 +1,12 @@
 #include "core/rdr.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <limits>
+#include <span>
+#include <utility>
 
 namespace rdsim::core {
 
@@ -12,6 +16,7 @@ RdrResult ReadDisturbRecovery::recover(nand::Block& block,
                                        std::uint32_t wl) const {
   assert(block.programmed());
   const auto& geom = block.geometry();
+  assert(geom.wordlines_per_block >= 2 && "RDR reads a sibling wordline");
   const auto& model = block.model();
   const double pe = block.pe_cycles();
   const double days = block.retention_days();
@@ -25,10 +30,10 @@ RdrResult ReadDisturbRecovery::recover(nand::Block& block,
   const double dose_before = block.dose_for_wordline(wl);
 
   // Errors before recovery, from the pre-disturb measurement.
+  const std::span<const std::uint8_t> truth = block.wordline_states(wl);
   for (std::uint32_t bl = 0; bl < geom.bitlines; ++bl) {
-    const CellState observed = model.classify(scan1[bl]);
-    const CellState truth = block.cell_state(wl, bl);
-    result.errors_before += flash::bit_errors_between(observed, truth);
+    result.errors_before += flash::bit_errors_between(
+        model.classify(scan1[bl]), static_cast<CellState>(truth[bl]));
   }
 
   // Step 2: induce additional disturbs so susceptible cells reveal
@@ -63,9 +68,25 @@ RdrResult ReadDisturbRecovery::recover(nand::Block& block,
                        options_.upper_margin;
   }
   // dVref at voltage v: the shift a nominal-susceptibility cell already
-  // sitting at v would experience from the induced dose alone.
+  // sitting at v would experience from the induced dose alone. scan2 sits
+  // on the retry grid, so dVref is evaluated once per distinct level: a
+  // slot per level, keyed on the exact scan value, so two values sharing a
+  // slot recompute rather than alias.
+  const double lo = options_.retry_lo;
+  const double inv_step = 1.0 / options_.retry_step;
+  const auto levels = static_cast<std::size_t>(
+                          std::floor((options_.retry_hi - lo) * inv_step)) +
+                      2;
+  std::vector<std::pair<double, double>> dvref_cache(
+      levels, {std::numeric_limits<double>::quiet_NaN(), 0.0});
   auto dvref_at = [&](double v) {
-    return model.apply_disturb(v, 1.0, extra_dose) - v;
+    const auto k = std::min(
+        static_cast<std::size_t>(std::max((v - lo) * inv_step + 0.5, 0.0)),
+        levels - 1);
+    auto& slot = dvref_cache[k];
+    if (!(slot.first == v))
+      slot = {v, model.apply_disturb(v, 1.0, extra_dose) - v};
+    return slot.second;
   };
 
   result.corrected_states.resize(geom.bitlines);
@@ -94,8 +115,8 @@ RdrResult ReadDisturbRecovery::recover(nand::Block& block,
       }
     }
     result.corrected_states[bl] = observed;
-    const CellState truth = block.cell_state(wl, bl);
-    result.errors_after += flash::bit_errors_between(observed, truth);
+    result.errors_after += flash::bit_errors_between(
+        observed, static_cast<CellState>(truth[bl]));
   }
   return result;
 }

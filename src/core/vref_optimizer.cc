@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/histogram.h"
@@ -74,6 +75,7 @@ int VrefOptimizer::count_errors_with_refs(const nand::Block& block,
   // One batched Vth pass instead of per-cell present_vth calls (which
   // would re-derive the page's dose/age invariants per bitline).
   const std::vector<double> vth = block.present_vth_page(wl);
+  const std::span<const std::uint8_t> truth = block.wordline_states(wl);
   for (std::uint32_t bl = 0; bl < block.geometry().bitlines; ++bl) {
     const double v = vth[bl];
     CellState observed;
@@ -85,7 +87,8 @@ int VrefOptimizer::count_errors_with_refs(const nand::Block& block,
       observed = CellState::kP2;
     else
       observed = CellState::kP3;
-    errors += flash::bit_errors_between(observed, block.cell_state(wl, bl));
+    errors += flash::bit_errors_between(observed,
+                                        static_cast<CellState>(truth[bl]));
   }
   return errors;
 }

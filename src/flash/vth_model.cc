@@ -263,13 +263,6 @@ double VthModel::present_vth(const CellGroundTruth& cell, double dose,
       static_cast<double>(cell.leak_rate));
 }
 
-CellState VthModel::classify(double vth) const {
-  if (vth < params_.vref_a) return CellState::kEr;
-  if (vth < params_.vref_b) return CellState::kP1;
-  if (vth < params_.vref_c) return CellState::kP2;
-  return CellState::kP3;
-}
-
 void VthModel::classify_batch(const double* vth, std::size_t n,
                               std::uint8_t* out) const {
   const double va = params_.vref_a, vb = params_.vref_b, vc = params_.vref_c;

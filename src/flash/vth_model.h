@@ -167,8 +167,14 @@ class VthModel {
                       std::uint8_t* out) const;
 
   /// Hard-decision state for a threshold voltage using the three read
-  /// references (Va, Vb, Vc).
-  CellState classify(double vth) const;
+  /// references (Va, Vb, Vc). Inline: the recovery ladder calls it per
+  /// cell.
+  CellState classify(double vth) const {
+    if (vth < params_.vref_a) return CellState::kEr;
+    if (vth < params_.vref_b) return CellState::kP1;
+    if (vth < params_.vref_c) return CellState::kP2;
+    return CellState::kP3;
+  }
 
   /// Vth at which the PDFs of two adjacent states intersect (the optimal
   /// read point and RDR's boundary), for the given wear/retention and an

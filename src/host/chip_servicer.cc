@@ -1,6 +1,7 @@
 #include "host/chip_servicer.h"
 
 #include <cmath>
+#include <span>
 
 #include "common/rng.h"
 #include "flash/types.h"
@@ -90,6 +91,8 @@ int ChipServicer::page_errors_with_refs(std::uint32_t block,
                                         const core::ReadRefs& refs) const {
   const nand::Block& blk = chip_.block(block);
   const std::vector<double> vth = blk.present_vth_page(address.wordline);
+  const std::span<const std::uint8_t> truth =
+      blk.wordline_states(address.wordline);
   int errors = 0;
   for (std::uint32_t bl = 0; bl < chip_.geometry().bitlines; ++bl) {
     const double v = vth[bl];
@@ -102,8 +105,8 @@ int ChipServicer::page_errors_with_refs(std::uint32_t block,
       sensed = flash::CellState::kP2;
     else
       sensed = flash::CellState::kP3;
-    const flash::CellState truth = blk.cell_state(address.wordline, bl);
-    errors += bit_of(sensed, address.kind) != bit_of(truth, address.kind);
+    errors += bit_of(sensed, address.kind) !=
+              bit_of(static_cast<flash::CellState>(truth[bl]), address.kind);
   }
   return errors;
 }
@@ -111,12 +114,12 @@ int ChipServicer::page_errors_with_refs(std::uint32_t block,
 int ChipServicer::page_errors_after_rdr(
     std::uint32_t block, const nand::PageAddress& address,
     const core::RdrResult& recovered) const {
-  const nand::Block& blk = chip_.block(block);
+  const std::span<const std::uint8_t> truth =
+      chip_.block(block).wordline_states(address.wordline);
   int errors = 0;
   for (std::uint32_t bl = 0; bl < chip_.geometry().bitlines; ++bl) {
-    const flash::CellState truth = blk.cell_state(address.wordline, bl);
     errors += bit_of(recovered.corrected_states[bl], address.kind) !=
-              bit_of(truth, address.kind);
+              bit_of(static_cast<flash::CellState>(truth[bl]), address.kind);
   }
   return errors;
 }

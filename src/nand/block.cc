@@ -68,6 +68,7 @@ Block::Block(const Geometry& geometry, const flash::VthModel& model, Rng rng)
       state_scratch_(geometry.bitlines, 0) {}
 
 void Block::invalidate_cells() {
+  vth_memo_valid_ = false;
   std::fill(wl_ready_.begin(), wl_ready_.end(), std::uint8_t{0});
   std::fill(seed_valid_.begin(), seed_valid_.end(), std::uint8_t{0});
 }
@@ -113,6 +114,7 @@ void Block::program_wordline(std::uint32_t wl, const PageBits& lsb,
   if (wl == 0) ++program_epoch_;  // Each pass over the block is one event.
   const std::size_t base = index(wl, 0);
   seed_valid_[wl] = 0;  // The exp(-B*v0) cache refills on the next sense.
+  vth_memo_valid_ = false;
   for (std::uint32_t bl = 0; bl < geometry_.bitlines; ++bl)
     state_[base + bl] =
         static_cast<std::uint8_t>(flash::state_of_bits(lsb[bl], msb[bl]));
@@ -157,6 +159,7 @@ void Block::ensure_wordline(std::uint32_t wl) const {
 
 void Block::materialize_wordline(std::uint32_t wl) const {
   const std::size_t base = index(wl, 0);
+  vth_memo_valid_ = false;
   if (pending_random_) {
     // The deferred half of program_random: draw this wordline's data bits
     // (64 per raw draw, (LSB, MSB) per bitline in order) and program
@@ -233,9 +236,9 @@ double Block::present_vth(std::uint32_t wl, std::uint32_t bl) const {
       static_cast<double>(leak_rate_[i]));
 }
 
-void Block::present_vth_into(std::uint32_t wl, double* out) const {
-  const auto coeffs = model_->sense_coeffs(dose_for_wordline(wl),
-                                           retention_days(), pe_cycles_);
+const double* Block::present_vth_memo(std::uint32_t wl) const {
+  const VthKey key{wl, pe_cycles_, dose_for_wordline(wl), retention_days()};
+  if (vth_memo_valid_ && key == vth_key_) return vth_scratch_.data();
   ensure_wordline(wl);
   ensure_disturb_seed(wl);
   const std::size_t base = index(wl, 0);
@@ -245,14 +248,18 @@ void Block::present_vth_into(std::uint32_t wl, double* out) const {
                                 leak_rate_ + base,
                                 disturb_seed_ + base,
                                 geometry_.bitlines};
-  model_->present_vth_batch(view, coeffs, out);
+  model_->present_vth_batch(
+      view, model_->sense_coeffs(key.dose, key.days, key.pe_cycles),
+      vth_scratch_.data());
+  vth_key_ = key;
+  vth_memo_valid_ = true;
+  return vth_scratch_.data();
 }
 
 std::vector<double> Block::present_vth_page(std::uint32_t wl) const {
   assert(wl < geometry_.wordlines_per_block);
-  std::vector<double> out(geometry_.bitlines);
-  present_vth_into(wl, out.data());
-  return out;
+  const double* vth = present_vth_memo(wl);
+  return std::vector<double>(vth, vth + geometry_.bitlines);
 }
 
 double Block::blocking_drop() const {
@@ -261,8 +268,7 @@ double Block::blocking_drop() const {
 }
 
 void Block::sense_page(std::uint32_t wl) const {
-  present_vth_into(wl, vth_scratch_.data());
-  model_->classify_batch(vth_scratch_.data(), geometry_.bitlines,
+  model_->classify_batch(present_vth_memo(wl), geometry_.bitlines,
                          state_scratch_.data());
   // Pass-through override: if a bitline's blocking threshold exceeds the
   // present Vpass, some unread cell fails to conduct and the whole string
@@ -336,10 +342,10 @@ int Block::count_blocked_bitlines(std::uint32_t wl, double vpass) const {
 std::vector<double> Block::read_retry_scan(std::uint32_t wl, double lo,
                                            double hi, double step) const {
   assert(step > 0.0 && hi > lo);
+  const double* vth = present_vth_memo(wl);
   std::vector<double> out(geometry_.bitlines);
-  present_vth_into(wl, out.data());
   for (std::uint32_t bl = 0; bl < geometry_.bitlines; ++bl) {
-    const double v = out[bl];
+    const double v = vth[bl];
     if (v < lo) {
       out[bl] = lo;
     } else if (v >= hi) {

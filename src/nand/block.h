@@ -33,6 +33,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -118,13 +119,23 @@ class Block {
   double present_vth(std::uint32_t wl, std::uint32_t bl) const;
 
   /// Present threshold voltages of every cell on wordline `wl`, computed
-  /// by one batched pass (bit-identical to present_vth per cell).
+  /// by one batched pass or copied from the block's memo of it
+  /// (bit-identical to present_vth per cell).
   std::vector<double> present_vth_page(std::uint32_t wl) const;
 
   /// Intended (programmed) state of one cell.
   flash::CellState cell_state(std::uint32_t wl, std::uint32_t bl) const {
     ensure_wordline(wl);
     return static_cast<flash::CellState>(state_[index(wl, bl)]);
+  }
+
+  /// Intended states of every cell on wordline `wl` (CellState bytes, one
+  /// per bitline), materializing the row on first touch. Valid until the
+  /// block is erased or reprogrammed; per-cell loops read it once instead
+  /// of calling cell_state per bitline.
+  std::span<const std::uint8_t> wordline_states(std::uint32_t wl) const {
+    ensure_wordline(wl);
+    return {state_ + index(wl, 0), geometry_.bitlines};
   }
 
   /// Ground truth record of one cell, assembled from the SoA store.
@@ -167,8 +178,9 @@ class Block {
   /// override (state_scratch_). Valid until the next sense on this block.
   void sense_page(std::uint32_t wl) const;
 
-  /// Batched present Vth of wordline `wl` into out[0..bitlines).
-  void present_vth_into(std::uint32_t wl, double* out) const;
+  /// Present Vth of every cell on wordline `wl`, in vth_scratch_ (see the
+  /// memo below). Valid until the next sense on this block.
+  const double* present_vth_memo(std::uint32_t wl) const;
 
   Geometry geometry_;
   const flash::VthModel* model_;
@@ -263,7 +275,23 @@ class Block {
   /// Whole-page sense scratch (bitlines elements each). Mutable so const
   /// reads can batch; a Block is not meant to be sensed concurrently from
   /// multiple threads (experiment shards own their chips).
+  ///
+  /// vth_scratch_ doubles as a one-entry memo of the last present-Vth
+  /// pass. Present Vth is a pure function of the wordline's cells and
+  /// vth_key_; the cells change only in invalidate_cells(),
+  /// program_wordline() and materialize_wordline(), which clear the memo.
+  /// So the read, retry scan, error count and RDR's first scan of one
+  /// page read compute the wordline once and reuse it.
   mutable std::vector<double> vth_scratch_;
+  struct VthKey {
+    std::uint32_t wl = 0;
+    std::uint32_t pe_cycles = 0;
+    double dose = 0.0;  ///< dose_for_wordline(wl).
+    double days = 0.0;  ///< retention_days().
+    bool operator==(const VthKey&) const = default;
+  };
+  mutable VthKey vth_key_;
+  mutable bool vth_memo_valid_ = false;
   mutable std::vector<std::uint8_t> state_scratch_;
   /// Lazy-materialization scratch: one wordline's data bits (2 per cell)
   /// and the program-sampling workspace, reused across wordlines.

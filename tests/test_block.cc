@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -397,6 +398,104 @@ TEST_F(BlockTest, ReprogramChangesGroundTruthEpoch) {
   b.erase();
   EXPECT_EQ(b.cell(9, 0).programmed, flash::CellState::kEr);
   EXPECT_EQ(b.cell(9, 0).v0, 0.0F);
+}
+
+// --- Present-Vth memo: a block memoizes its last wordline's present Vth.
+// A block that senses after every mutation (memo warm) must agree bit for
+// bit with a twin that only replays the mutations and senses once. ---
+
+struct Senses {
+  std::vector<double> vth;
+  std::vector<double> scan;
+  int lsb_errors = 0;
+  int msb_errors = 0;
+  bool operator==(const Senses&) const = default;
+};
+
+Senses sense(const Block& b, std::uint32_t wl) {
+  return {b.present_vth_page(wl), b.read_retry_scan(wl, 0.0, 520.0, 0.5),
+          b.count_errors({wl, PageKind::kLsb}),
+          b.count_errors({wl, PageKind::kMsb})};
+}
+
+void program_wordlines(Block& b, std::uint32_t from, std::uint32_t to) {
+  const std::uint32_t n = b.geometry().bitlines;
+  PageBits lsb(n), msb(n);
+  for (std::uint32_t bl = 0; bl < n; ++bl) {
+    lsb[bl] = static_cast<std::uint8_t>(bl & 1);
+    msb[bl] = static_cast<std::uint8_t>((bl >> 1) & 1);
+  }
+  for (std::uint32_t wl = from; wl < to; ++wl) b.program_wordline(wl, lsb, msb);
+}
+
+void check_memo_against_twin(const flash::FlashModelParams& params,
+                             const Geometry& geom) {
+  constexpr std::uint32_t kWl = 5, kOther = 6;
+  const std::uint32_t wls = geom.wordlines_per_block;
+  const std::vector<std::pair<const char*, std::function<void(Block&)>>>
+      mutations = {
+          {"apply_reads on another wordline",
+           [](Block& b) { b.apply_reads(kOther, 2e5); }},
+          {"apply_reads on the same wordline",
+           [](Block& b) { b.apply_reads(kWl, 1e5); }},
+          {"advance_time", [](Block& b) { b.advance_time(1.5); }},
+          {"set_vpass", [](Block& b) { b.set_vpass(490.0); }},
+          {"erase + program_random",
+           [](Block& b) {
+             b.erase();
+             b.program_random();
+           }},
+          // Fresh data at zero dose and age, then erased: same P/E count,
+          // dose and age, so only the cells tell the two senses apart.
+          {"erase", [](Block& b) { b.erase(); }},
+          {"add_wear", [](Block& b) { b.add_wear(500); }},
+          // Explicit programming of the sensed wordline on an erased block
+          // at zero dose: the memo key is unchanged, only the cells move.
+          {"program_wordline up to the sensed one",
+           [](Block& b) { program_wordlines(b, 0, kWl + 1); }},
+          {"program_wordline of the rest",
+           [wls](Block& b) { program_wordlines(b, kWl + 1, wls); }},
+          {"apply_reads after explicit programming",
+           [](Block& b) { b.apply_reads(kOther, 3e5); }},
+      };
+  const auto make = [&](Chip& chip) -> Block& {
+    auto& b = chip.block(0);
+    b.add_wear(8000);
+    b.program_random();
+    b.apply_reads(3, 4e5);
+    return b;
+  };
+  Chip eager_chip(geom, params, 61);
+  Block& eager = make(eager_chip);
+  (void)sense(eager, kWl);
+  for (std::size_t i = 0; i < mutations.size(); ++i) {
+    // Every round starts and ends with kWl in the memo, so the first sense
+    // after a mutation meets the pre-mutation entry.
+    mutations[i].second(eager);
+    const Senses got_wl = sense(eager, kWl);
+    const Senses got_other = sense(eager, kOther);
+    EXPECT_TRUE(sense(eager, kWl) == got_wl) << "after " << mutations[i].first;
+    // The twin replays the same mutations with no sense in between, so
+    // its first sense cannot be served from a memo.
+    Chip twin_chip(geom, params, 61);
+    Block& twin = make(twin_chip);
+    for (std::size_t j = 0; j <= i; ++j) mutations[j].second(twin);
+    EXPECT_TRUE(sense(twin, kWl) == got_wl) << "after " << mutations[i].first;
+    EXPECT_TRUE(sense(twin, kOther) == got_other)
+        << "after " << mutations[i].first;
+  }
+}
+
+TEST_F(BlockTest, PresentVthMemoClearsWithEveryMutation) {
+  check_memo_against_twin(params_, geom_);
+}
+
+TEST_F(BlockTest, PresentVthMemoClearsWithNeighborDoseBoost) {
+  // With the boost, reads addressed at a wordline change its neighbours'
+  // dose, so the sensed wordline's key moves with reads next to it.
+  auto params = params_;
+  params.neighbor_dose_boost = 0.5;
+  check_memo_against_twin(params, geom_);
 }
 
 TEST(Randomizer, RoundTripAndKeyVariation) {

@@ -367,6 +367,32 @@ TEST(Spec, InfeasibleFtlIsDiagnosed) {
   EXPECT_FALSE(has_diag(mc_diags, "drive.gc_free_target", "infeasible"));
 }
 
+TEST(Spec, SingleWordlineMcBlockIsDiagnosed) {
+  // RDR reads a sibling wordline, so a one-wordline Monte Carlo block is
+  // rejected by key on both MC backends; analytic drives ignore the key.
+  for (const char* backend : {"mc_chip", "sharded_mc"}) {
+    std::vector<Diagnostic> diags;
+    parse_text(std::string("[drive]\nbackend = ") + backend +
+                   "\nwordlines_per_block = 1\n[workload]\n"
+                   "profile = postmark\n",
+               &diags);
+    EXPECT_TRUE(has_diag(diags, "drive.wordlines_per_block", "at least 2"))
+        << backend;
+  }
+  std::vector<Diagnostic> ok;
+  parse_text(
+      "[drive]\nbackend = sharded_mc\nwordlines_per_block = 2\n"
+      "[workload]\nprofile = postmark\n",
+      &ok);
+  EXPECT_FALSE(has_diag(ok, "drive.wordlines_per_block", ""));
+  std::vector<Diagnostic> analytic;
+  parse_text(
+      "[drive]\nbackend = analytic\nwordlines_per_block = 1\n"
+      "[workload]\nprofile = postmark\n",
+      &analytic);
+  EXPECT_FALSE(has_diag(analytic, "drive.wordlines_per_block", ""));
+}
+
 TEST(Profiles, BuiltinsResolveAndBuildDevices) {
   ASSERT_FALSE(builtin_profiles().empty());
   EXPECT_EQ(find_profile("no-such-profile"), nullptr);

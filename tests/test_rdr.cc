@@ -135,6 +135,72 @@ TEST(Rdr, LooseThresholdRelabelsMore) {
   EXPECT_GT(rl.cells_relabeled, rs.cells_relabeled);
 }
 
+TEST(Rdr, PerLevelDvrefMatchesPerCellReferenceAtNonDyadicStep) {
+  // recover() evaluates dVref once per retry level. At a step of 0.3 from
+  // 1.0 the levels are not exact binary fractions, so this pins that the
+  // per-level cache never serves one level's dVref for another: the result
+  // must equal Steps 1-4 written out per cell on a twin block.
+  RdrOptions o;
+  o.retry_lo = 1.0;
+  o.retry_step = 0.3;
+  auto chip_a = worn_chip(51);
+  auto chip_b = worn_chip(51);
+  for (auto* chip : {&chip_a, &chip_b}) chip->block(0).apply_reads(31, 1e6);
+  const std::uint32_t wl = 30;
+  const RdrResult got = ReadDisturbRecovery(o).recover(chip_a.block(0), wl);
+
+  nand::Block& b = chip_b.block(0);
+  const auto& model = b.model();
+  const double pe = b.pe_cycles();
+  const double days = b.retention_days();
+  RdrResult want;
+  want.bits = 2 * 8192;
+  const auto scan1 = b.read_retry_scan(wl, o.retry_lo, o.retry_hi,
+                                       o.retry_step);
+  const double dose_before = b.dose_for_wordline(wl);
+  for (std::uint32_t bl = 0; bl < 8192; ++bl)
+    want.errors_before += flash::bit_errors_between(
+        model.classify(scan1[bl]), b.cell_state(wl, bl));
+  b.apply_reads(wl - 1, o.extra_reads);
+  const auto scan2 = b.read_retry_scan(wl, o.retry_lo, o.retry_hi,
+                                       o.retry_step);
+  const double extra_dose = b.dose_for_wordline(wl) - dose_before;
+  const double dose_now = b.dose_for_wordline(wl);
+  const double refs[3] = {model.params().vref_a, model.params().vref_b,
+                          model.params().vref_c};
+  double hi[3];
+  for (int k = 0; k < 3; ++k)
+    hi[k] = model.pdf_intersection(static_cast<flash::CellState>(k), pe,
+                                   days, dose_now) +
+            o.upper_margin;
+  for (std::uint32_t bl = 0; bl < 8192; ++bl) {
+    const double v = scan2[bl];
+    flash::CellState state = model.classify(v);
+    for (int k = 0; k < 3; ++k) {
+      if (v < refs[k] || v > hi[k]) continue;
+      ++want.cells_in_window;
+      const auto lower = static_cast<flash::CellState>(k);
+      const double dvref = model.apply_disturb(v, 1.0, extra_dose) - v;
+      if (v - scan1[bl] > o.prone_factor * dvref && state != lower) {
+        ++want.cells_relabeled;
+        state = lower;
+      }
+      break;
+    }
+    want.corrected_states.push_back(state);
+    want.errors_after +=
+        flash::bit_errors_between(state, b.cell_state(wl, bl));
+  }
+
+  EXPECT_GT(want.cells_relabeled, 0);
+  EXPECT_EQ(got.bits, want.bits);
+  EXPECT_EQ(got.errors_before, want.errors_before);
+  EXPECT_EQ(got.errors_after, want.errors_after);
+  EXPECT_EQ(got.cells_relabeled, want.cells_relabeled);
+  EXPECT_EQ(got.cells_in_window, want.cells_in_window);
+  EXPECT_EQ(got.corrected_states, want.corrected_states);
+}
+
 TEST(Rdr, WorksOnFirstWordline) {
   // wl = 0 uses a different sibling for the induced reads.
   auto chip = worn_chip(50);
