@@ -10,10 +10,11 @@
 //     retention component; its bake costs extra retention).
 //
 // The symptom is demonstrated first through the queued host interface
-// (host::McChipDevice): a read command against the aged block comes back
-// with a raw error count far beyond what ECC provisions for — that is
-// the moment a controller escalates to the offline rescue mechanisms,
-// which then operate on the block itself.
+// (a one-shard host::ShardedDevice over a host::ChipServicer): a read
+// command against the aged block comes back with a raw error count far
+// beyond what ECC provisions for — that is the moment a controller
+// escalates to the offline rescue mechanisms, which then operate on the
+// block itself.
 //
 // Each mechanism is evaluated independently against the factory-reference
 // baseline; they are complementary in a real controller (Vref learning in
@@ -23,12 +24,14 @@
 //        defaults: 10000 P/E, 25 days, 600000 reads
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "core/rdr.h"
 #include "core/rfr.h"
 #include "core/vref_optimizer.h"
-#include "host/mc_chip_device.h"
+#include "host/chip_servicer.h"
+#include "host/sharded_device.h"
 #include "nand/chip.h"
 
 using namespace rdsim;
@@ -63,9 +66,9 @@ int main(int argc, char** argv) {
   // The host-visible symptom: a queued read of the victim page reports a
   // raw error count the drive's ECC cannot absorb.
   {
-    host::McChipDevice device(nand::Geometry::characterization(), params,
-                              2024);
-    auto& block = device.chip().block(0);
+    host::ShardedDevice device(std::make_unique<host::ChipServicer>(
+        nand::Geometry::characterization(), params, 2024));
+    auto& block = device.shard_chip(0).block(0);
     block.erase();
     block.add_wear(pe);
     block.program_random();

@@ -1,6 +1,6 @@
 // data_recovery — end-to-end demonstration of Read Disturb Recovery with a
 // real BCH code in the loop, on a chip fronted by the queued host
-// interface (host::McChipDevice):
+// interface (a one-shard host::ShardedDevice over a host::ChipServicer):
 //
 // 1. Encode a payload with BCH and program it into a wordline of a worn
 //    block (bit-for-bit, via the per-cell MLC data path).
@@ -15,20 +15,23 @@
 //
 // Usage: ./build/examples/data_recovery
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/rdr.h"
 #include "ecc/bch.h"
-#include "host/mc_chip_device.h"
+#include "host/chip_servicer.h"
+#include "host/sharded_device.h"
 #include "nand/chip.h"
 
 using namespace rdsim;
 
 int main() {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::McChipDevice device(nand::Geometry::characterization(), params, 5);
-  auto& block = device.chip().block(0);
+  host::ShardedDevice device(std::make_unique<host::ChipServicer>(
+      nand::Geometry::characterization(), params, 5));
+  auto& block = device.shard_chip(0).block(0);
   block.erase();  // Replace the device's fill with our own payload below.
   block.add_wear(8000);
 

@@ -7,18 +7,21 @@
 // 4. Recover: push the block past ECC's limit and let RDR pull the errors
 //    back into correctable range.
 // 5. Drive the same Monte Carlo cells through the NVMe-style queued host
-//    interface (host::McChipDevice): typed commands in, per-command
-//    completion records out.
+//    interface (a one-shard host::ShardedDevice over the chip's
+//    host::ChipServicer): typed commands in, per-command completion
+//    records out.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "core/rdr.h"
 #include "core/vpass_tuning.h"
 #include "ecc/ecc_model.h"
 #include "flash/rber_model.h"
-#include "host/mc_chip_device.h"
+#include "host/chip_servicer.h"
+#include "host/sharded_device.h"
 #include "nand/chip.h"
 
 using namespace rdsim;
@@ -87,8 +90,10 @@ int main() {
   // --- 5. The queued host interface ----------------------------------------
   // The same physics, driven the way a host drives a drive: submit typed
   // commands into submission queues, poll completion records back.
-  host::McChipDevice device(nand::Geometry::tiny(), params, /*seed=*/7,
-                            /*queue_count=*/2);
+  host::ShardedDevice device(
+      std::make_unique<host::ChipServicer>(nand::Geometry::tiny(), params,
+                                           /*seed=*/7),
+      /*queue_count=*/2);
   host::Command read;
   read.kind = host::CommandKind::kRead;
   read.pages = 4;

@@ -1,11 +1,11 @@
 // rdsim/host/chip_servicer.h
 //
 // ChipServicer: the Monte-Carlo implementation of the host::Servicer
-// shard slot — the data-movement engine behind one nand::Chip, shared by
-// the single-chip McChipDevice backend and by each shard of
-// ShardedDevice — so the physics a queued read or write performs (and
-// its cost accounting) exists exactly once, and a one-shard
-// ShardedDevice is the single-chip device by construction.
+// shard slot — the data-movement engine behind one nand::Chip, serving
+// every shard of a ShardedDevice, so the physics a queued read or write
+// performs (and its cost accounting) exists exactly once. The
+// single-chip drive (make_device's `mc_chip` backend) is a one-shard
+// ShardedDevice over one ChipServicer seeded with the drive seed.
 //
 // Logical layout: lpn -> (block = lpn / pages_per_block, then LSB/MSB
 // pages interleaved along the wordlines: page index 2*wl + kind). Every
@@ -72,7 +72,7 @@ class ChipServicer : public Servicer {
  public:
   ChipServicer(const nand::Geometry& geometry,
                const flash::FlashModelParams& params, std::uint64_t seed,
-               const LatencyParams& latency,
+               const LatencyParams& latency = LatencyParams{},
                const ChipErrorPath& error_path = {},
                const ChipFaults& faults = {});
 

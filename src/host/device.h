@@ -43,11 +43,10 @@
 //   * Device        — the abstract facade: submission queues, completion
 //                     queue, arbitration keys, statistics, id assignment.
 //                     Knows nothing about time.
-//   * SerialDevice  — the single-timeline engine (one FlashTimeline):
-//                     backends implement do_service()/do_end_of_day().
-//                     SsdDevice and McChipDevice derive from this.
-//   * ShardedDevice — N chips, N timelines, deterministic merge
-//                     (sharded_device.h).
+//   * ShardedDevice — the one engine: N backend Servicers, N timelines,
+//                     deterministic merge (sharded_device.h). A serial
+//                     drive is a one-shard ShardedDevice; SsdDevice
+//                     (ssd_device.h) names the analytic one.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +56,6 @@
 #include "host/arbitration.h"
 #include "host/command.h"
 #include "host/stats.h"
-#include "host/timeline.h"
 
 namespace rdsim::host {
 
@@ -145,9 +143,9 @@ class Device {
   virtual void run_end_of_day() = 0;
 
   /// Backend hook: called after pump() by poll (drain_all = false) and
-  /// drain (drain_all = true), so backends that withhold completions can
-  /// release what is safe (everything, for a drain). Default: no-op.
-  virtual void release_ready(bool drain_all);
+  /// drain (drain_all = true) to deliver() the serviced records whose log
+  /// position is final (everything, for a drain).
+  virtual void release_ready(bool drain_all) = 0;
 
   /// Pops queued commands in arbitration order. With force, every
   /// pending command; without, only the prefix whose service order no
@@ -198,43 +196,6 @@ class Device {
   std::uint64_t next_id_ = 0;
   std::uint64_t submitted_ = 0;
   std::uint64_t delivered_ = 0;
-};
-
-/// The single-timeline engine: one flash unit services the arbitrated
-/// stream in order. Backends implement the per-command cost hook; the
-/// queue layer owns scheduling, stall attribution, and completion
-/// records.
-class SerialDevice : public Device {
- public:
-  explicit SerialDevice(std::uint32_t queue_count) : Device(queue_count) {}
-
-  double now_s() const override { return timeline_.free_s(); }
-
- protected:
-  /// Backend hook: perform the command's data movement and report its
-  /// cost. Flush never reaches this (the queue layer implements the
-  /// barrier; arbitration keeps a flush after its whole epoch, so it
-  /// completes at the flash free time, i.e. after everything submitted
-  /// before it).
-  virtual ServiceCost do_service(const Command& command) = 0;
-
-  /// Backend hook: nightly maintenance; returns flash busy seconds.
-  virtual double do_end_of_day() { return 0.0; }
-
-  void pump(bool force) override;
-  void run_end_of_day() override;
-  void release_ready(bool drain_all) override;
-
- private:
-  Completion service_one(const Submitted& sub);
-
-  FlashTimeline timeline_;
-  /// Serviced records not yet released to the completion queue: records
-  /// completing exactly at the flash free time are withheld while
-  /// commands are still queued, because a queued command a policy ordered
-  /// later could complete at the same instant with a smaller id. Under
-  /// FIFO nothing is ever queued after a pump, so this is pass-through.
-  std::vector<Completion> batch_;
 };
 
 }  // namespace rdsim::host

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "flash/params.h"
-#include "host/mc_chip_device.h"
+#include "host/chip_servicer.h"
 #include "host/sharded_device.h"
 #include "host/ssd_device.h"
 #include "host/ssd_servicer.h"
@@ -35,14 +35,6 @@ ssd::SsdConfig ssd_config_from_spec(const cfg::DriveSpec& spec) {
 
 namespace {
 
-flash::FlashModelParams flash_params(const cfg::DriveSpec& spec) {
-  return flash_params_from_spec(spec);
-}
-
-ssd::SsdConfig ssd_config(const cfg::DriveSpec& spec) {
-  return ssd_config_from_spec(spec);
-}
-
 /// The MC fault slice for one shard: latent pages everywhere, the die
 /// kill only on the targeted shard (a serial chip is shard 0).
 ChipFaults chip_faults(const cfg::DriveSpec& spec, std::uint32_t shard) {
@@ -54,68 +46,68 @@ ChipFaults chip_faults(const cfg::DriveSpec& spec, std::uint32_t shard) {
   return faults;
 }
 
-nand::Geometry chip_geometry(const cfg::DriveSpec& spec) {
+/// Shard `shard`'s Monte Carlo chip engine, seeded with `chip_seed`.
+std::unique_ptr<Servicer> chip_shard(const cfg::DriveSpec& spec,
+                                     std::uint64_t chip_seed,
+                                     std::uint32_t shard) {
   nand::Geometry geometry;
   geometry.wordlines_per_block = spec.wordlines_per_block;
   geometry.bitlines = spec.bitlines;
   geometry.blocks = spec.blocks;
-  return geometry;
+  return std::make_unique<ChipServicer>(geometry, flash_params_from_spec(spec),
+                                        chip_seed, LatencyParams{},
+                                        ChipErrorPath{},
+                                        chip_faults(spec, shard));
 }
 
-/// Characterization pre-aging, in the order fig_qos_mc established:
-/// heavy P/E wear then fresh random data, block by block
-/// (O(bookkeeping) under lazy cell materialization).
-void pre_wear(nand::Chip& chip, std::uint64_t pe) {
-  for (std::size_t b = 0; b < chip.block_count(); ++b) {
-    chip.block(b).erase();
-    chip.block(b).add_wear(static_cast<std::uint32_t>(pe));
-    chip.block(b).program_random();
+/// Characterization pre-aging of every shard's chip, in the order
+/// fig_qos_mc established: heavy P/E wear then fresh random data, block
+/// by block (O(bookkeeping) under lazy cell materialization).
+std::unique_ptr<Device> pre_worn(std::unique_ptr<ShardedDevice> device,
+                                 std::uint64_t pe) {
+  if (pe == 0) return device;
+  for (std::uint32_t s = 0; s < device->shard_count(); ++s) {
+    nand::Chip& chip = device->shard_chip(s);
+    for (std::size_t b = 0; b < chip.block_count(); ++b) {
+      chip.block(b).erase();
+      chip.block(b).add_wear(static_cast<std::uint32_t>(pe));
+      chip.block(b).program_random();
+    }
   }
+  return device;
 }
 
 }  // namespace
 
 std::unique_ptr<Device> make_device(const cfg::DriveSpec& spec,
                                     std::uint64_t seed, int workers) {
-  const flash::FlashModelParams params = flash_params(spec);
+  // The one-shard backends seed their servicer with the drive seed
+  // itself; sharded backends derive shard s's seed as shard_seed(seed, s).
+  std::vector<std::unique_ptr<Servicer>> shards;
   switch (spec.backend) {
     case cfg::Backend::kAnalytic:
-      return std::make_unique<SsdDevice>(ssd_config(spec), params, seed,
+      return std::make_unique<SsdDevice>(ssd_config_from_spec(spec),
+                                         flash_params_from_spec(spec), seed,
                                          spec.queue_count);
-    case cfg::Backend::kMcChip: {
-      auto device = std::make_unique<McChipDevice>(
-          chip_geometry(spec), params, seed, spec.queue_count,
-          LatencyParams{}, ChipErrorPath{}, chip_faults(spec, 0));
-      if (spec.pre_wear_pe > 0) pre_wear(device->chip(), spec.pre_wear_pe);
-      return device;
-    }
-    case cfg::Backend::kShardedMc: {
-      // Explicit per-shard construction (same seeds and arguments as the
-      // MC convenience ctor, so it stays bit-identical to it) to route
-      // each shard its own fault slice — the die kill targets one shard.
-      std::vector<std::unique_ptr<Servicer>> shards;
-      shards.reserve(spec.shards);
+    case cfg::Backend::kMcChip:
+      return pre_worn(std::make_unique<ShardedDevice>(
+                          chip_shard(spec, seed, 0), spec.queue_count),
+                      spec.pre_wear_pe);
+    case cfg::Backend::kShardedMc:
+      // Each shard gets its own fault slice — the die kill targets one.
       for (std::uint32_t s = 0; s < spec.shards; ++s)
-        shards.push_back(std::make_unique<ChipServicer>(
-            chip_geometry(spec), params, ShardedDevice::shard_seed(seed, s),
-            LatencyParams{}, ChipErrorPath{}, chip_faults(spec, s)));
-      auto device = std::make_unique<ShardedDevice>(std::move(shards),
-                                                    workers,
-                                                    spec.queue_count);
-      if (spec.pre_wear_pe > 0)
-        for (std::uint32_t s = 0; s < device->shard_count(); ++s)
-          pre_wear(device->shard_chip(s), spec.pre_wear_pe);
-      return device;
-    }
-    case cfg::Backend::kShardedAnalytic: {
-      std::vector<std::unique_ptr<Servicer>> shards;
-      shards.reserve(spec.shards);
+        shards.push_back(
+            chip_shard(spec, ShardedDevice::shard_seed(seed, s), s));
+      return pre_worn(std::make_unique<ShardedDevice>(
+                          std::move(shards), workers, spec.queue_count),
+                      spec.pre_wear_pe);
+    case cfg::Backend::kShardedAnalytic:
       for (std::uint32_t s = 0; s < spec.shards; ++s)
         shards.push_back(std::make_unique<SsdServicer>(
-            ssd_config(spec), params, ShardedDevice::shard_seed(seed, s)));
+            ssd_config_from_spec(spec), flash_params_from_spec(spec),
+            ShardedDevice::shard_seed(seed, s)));
       return std::make_unique<ShardedDevice>(std::move(shards), workers,
                                              spec.queue_count);
-    }
   }
   return nullptr;
 }

@@ -15,9 +15,9 @@
 //
 //   * service() iterates the command's pages in ascending range order,
 //     wrapping each page modulo logical_pages() (the caller de-stripes a
-//     global command into one contiguous local range per shard, so a
-//     one-shard device receives the global command verbatim and is the
-//     serial single-backend device by construction).
+//     global command into one contiguous local range per shard; a
+//     one-shard device — the single-drive backends — passes the global
+//     command through verbatim).
 //   * service() is deterministic: simulated clocks and seeded RNG only,
 //     so the merged completion log stays a pure function of the
 //     submission stream for any worker count.

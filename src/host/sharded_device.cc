@@ -8,12 +8,36 @@
 
 namespace rdsim::host {
 
+namespace {
+
+/// Command `id`'s completion record with its identity fields filled in.
+Completion record_of(std::uint64_t id, const Command& cmd) {
+  Completion rec;
+  rec.id = id;
+  rec.kind = cmd.kind;
+  rec.queue = cmd.queue;
+  rec.tenant = cmd.tenant;
+  rec.lpn = cmd.lpn;
+  rec.pages = cmd.pages;
+  rec.submit_time_s = cmd.submit_time_s;
+  return rec;
+}
+
+}  // namespace
+
 ShardedDevice::ShardedDevice(std::vector<std::unique_ptr<Servicer>> shards,
                              int workers, std::uint32_t queue_count)
     : Device(queue_count), pool_(workers) {
   shards_.resize(shards.size());
   for (std::size_t s = 0; s < shards.size(); ++s)
     shards_[s].servicer = std::move(shards[s]);
+}
+
+ShardedDevice::ShardedDevice(std::unique_ptr<Servicer> servicer,
+                             std::uint32_t queue_count)
+    : Device(queue_count) {
+  shards_.resize(1);
+  shards_.front().servicer = std::move(servicer);
 }
 
 ShardedDevice::ShardedDevice(const nand::Geometry& shard_geometry,
@@ -80,13 +104,14 @@ void ShardedDevice::pump(bool force) {
 
   // Service in flush-separated segments: within a segment the shards run
   // concurrently and never wait for each other; each flush is a
-  // cross-shard barrier handled on the coordinating thread.
-  std::vector<Completion> merged;
-  merged.reserve(pending.size());
+  // cross-shard barrier handled on the coordinating thread. New records
+  // land straight in held_'s unsorted tail.
+  const std::size_t old_size = held_.size();
+  held_.reserve(old_size + pending.size());
   std::size_t i = 0;
   while (i < pending.size()) {
     if (pending[i].command.kind == CommandKind::kFlush) {
-      merged.push_back(service_flush(pending[i]));
+      held_.push_back(service_flush(pending[i]));
       ++i;
       continue;
     }
@@ -94,18 +119,47 @@ void ShardedDevice::pump(bool force) {
     while (j < pending.size() &&
            pending[j].command.kind != CommandKind::kFlush)
       ++j;
-    service_segment(pending, i, j, &merged);
+    service_segment(pending, i, j);
     i = j;
   }
 
-  for (const Completion& rec : merged) record(rec);
-  held_.insert(held_.end(), merged.begin(), merged.end());
-  std::sort(held_.begin(), held_.end(), completion_log_order);
+  // Record in service order, then restore held_'s log order: sort only
+  // the new tail, and merge only when it reaches back into the old
+  // records (a one-shard device's completions are almost always already
+  // in order).
+  const auto mid = held_.begin() + static_cast<std::ptrdiff_t>(old_size);
+  for (auto it = mid; it != held_.end(); ++it) record(*it);
+  std::sort(mid, held_.end(), completion_log_order);
+  if (old_size > 0 && completion_log_order(*mid, *(mid - 1)))
+    std::inplace_merge(held_.begin(), mid, held_.end(), completion_log_order);
 }
 
 void ShardedDevice::service_segment(const std::vector<Submitted>& pending,
-                                    std::size_t begin, std::size_t end,
-                                    std::vector<Completion>* out) {
+                                    std::size_t begin, std::size_t end) {
+  if (shard_count() == 1) {
+    // One shard: the local command is the global command, so service,
+    // schedule and record it directly — no de-striping, no per-shard
+    // scratch, no pool dispatch.
+    Shard& shard = shards_.front();
+    for (std::size_t k = begin; k < end; ++k) {
+      const Command& cmd = pending[k].command;
+      // A zero-page command costs nothing and never reaches the servicer.
+      const ServiceCost cost =
+          cmd.pages == 0 ? ServiceCost{} : shard.servicer->service(cmd);
+      const FlashTimeline::Slot slot =
+          shard.timeline.schedule(cmd.submit_time_s, cost);
+      Completion rec = record_of(pending[k].id, cmd);
+      rec.service_start_s = slot.start_s;
+      rec.complete_time_s = slot.complete_s;
+      rec.stall_s = cost.stall_s + slot.bg_overlap_s;
+      rec.status = cost.status;
+      rec.error_pages = cost.error_pages;
+      shard.stall_seconds += rec.stall_s;
+      held_.push_back(rec);
+    }
+    return;
+  }
+
   const std::size_t n = end - begin;
   const std::uint32_t shard_n = shard_count();
   sub_results_.assign(n * shard_n, SubResult{});
@@ -153,14 +207,7 @@ void ShardedDevice::service_segment(const std::vector<Submitted>& pending,
 
   for (std::size_t k = 0; k < n; ++k) {
     const Submitted& sub = pending[begin + k];
-    Completion rec;
-    rec.id = sub.id;
-    rec.kind = sub.command.kind;
-    rec.queue = sub.command.queue;
-    rec.tenant = sub.command.tenant;
-    rec.lpn = sub.command.lpn;
-    rec.pages = sub.command.pages;
-    rec.submit_time_s = sub.command.submit_time_s;
+    Completion rec = record_of(sub.id, sub.command);
     double start = std::numeric_limits<double>::infinity();
     double complete = 0.0;
     double stall = 0.0;
@@ -176,7 +223,7 @@ void ShardedDevice::service_segment(const std::vector<Submitted>& pending,
     rec.service_start_s = start;
     rec.complete_time_s = complete;
     rec.stall_s = stall;
-    out->push_back(rec);
+    held_.push_back(rec);
   }
 }
 
@@ -193,14 +240,7 @@ Completion ShardedDevice::service_flush(const Submitted& sub) {
   }
   for (Shard& shard : shards_) shard.timeline.barrier(barrier);
 
-  Completion rec;
-  rec.id = sub.id;
-  rec.kind = cmd.kind;
-  rec.queue = cmd.queue;
-  rec.tenant = cmd.tenant;
-  rec.lpn = cmd.lpn;
-  rec.pages = cmd.pages;
-  rec.submit_time_s = cmd.submit_time_s;
+  Completion rec = record_of(sub.id, cmd);
   rec.service_start_s = barrier;
   rec.complete_time_s = barrier;
   rec.stall_s = stall;
@@ -209,18 +249,24 @@ Completion ShardedDevice::service_flush(const Submitted& sub) {
 
 void ShardedDevice::release_ready(bool drain_all) {
   // A held record's log position is final once nothing can still slot in
-  // before it: future submissions complete no earlier than the newest
-  // submit stamp seen (non-decreasing by the driver contract; a tie goes
-  // to the held record's smaller id), and commands a reordering policy
-  // left queued complete no earlier than their own submit stamp (strict
-  // bound — a queued command carries a smaller id, so it wins a tie).
-  const double unserviced_s = has_pending()
-                                  ? min_pending_submit_s()
-                                  : std::numeric_limits<double>::infinity();
+  // before it. Every command not yet serviced starts no earlier than its
+  // shard's free time, so no earlier than the earliest shard free time;
+  // future submissions also complete no earlier than the newest submit
+  // stamp seen (non-decreasing by the driver contract; a tie goes to the
+  // held record's smaller id), and commands a reordering policy left
+  // queued no earlier than their own submit stamp (strict bound — a
+  // queued command carries a smaller id, so it wins a tie).
+  double free_s = std::numeric_limits<double>::infinity();
+  for (const Shard& s : shards_)
+    free_s = std::min(free_s, s.timeline.free_s());
+  const double future_s = std::max(max_submit_seen_s(), free_s);
+  const double queued_s =
+      has_pending() ? std::max(min_pending_submit_s(), free_s)
+                    : std::numeric_limits<double>::infinity();
   std::size_t n = 0;
   while (n < held_.size() &&
-         (drain_all || (held_[n].complete_time_s <= max_submit_seen_s() &&
-                        held_[n].complete_time_s < unserviced_s))) {
+         (drain_all || (held_[n].complete_time_s <= future_s &&
+                        held_[n].complete_time_s < queued_s))) {
     deliver(held_[n]);
     ++n;
   }
@@ -233,9 +279,8 @@ void ShardedDevice::reset_stats() {
 }
 
 void ShardedDevice::run_end_of_day() {
-  // Same contract as SerialDevice::run_end_of_day, per shard: whatever
-  // flash busy time the nightly maintenance consumed occupies the next
-  // free window of that shard's timeline.
+  // Per shard: whatever flash busy time the nightly maintenance consumed
+  // occupies the next free window of that shard's timeline.
   for (Shard& shard : shards_) {
     const double busy = shard.servicer->end_of_day();
     if (busy > 0.0) shard.timeline.reserve_next(busy);

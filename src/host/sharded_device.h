@@ -1,14 +1,14 @@
 // rdsim/host/sharded_device.h
 //
-// host::ShardedDevice: a queued-device backend that stripes the logical
-// page space across N backend shards (one host::Servicer + one
+// host::ShardedDevice: rdsim's one queued-device engine. It stripes the
+// logical page space across N backend shards (one host::Servicer + one
 // FlashTimeline per shard) and services the shards concurrently on a
-// common/thread_pool.h ThreadPool — the drive-scale counterpart of the
-// serial single-backend devices, and the host-layer instantiation of the
+// common/thread_pool.h ThreadPool — the host-layer instantiation of the
 // same determinism contract sim::ExperimentRunner gives the experiments.
 // The shard slot is the Servicer interface (servicer.h): Monte Carlo
 // chips (ChipServicer) and analytic drives (SsdServicer) get the same
-// RAID-0 N-way scaling.
+// RAID-0 N-way scaling. A single-drive backend is the N = 1 case,
+// serviced inline on the calling thread.
 //
 // Striping. Global lpn L (wrapped modulo logical_pages()) lives on shard
 // L % shards at shard-local lpn L / shards — RAID-0 page striping, so a
@@ -17,9 +17,9 @@
 // are a single contiguous run in that shard's local space (consecutive
 // matching global pages differ by `shards`, i.e. by one local page), so
 // the device hands each shard exactly one de-striped local sub-command;
-// within its shard a page maps exactly like the corresponding serial
-// device (for a chip: block = local lpn / pages_per_block, LSB/MSB
-// interleaved along the wordlines; see chip_servicer.h).
+// within its shard a page maps exactly like on a one-shard device (for a
+// chip: block = local lpn / pages_per_block, LSB/MSB interleaved along
+// the wordlines; see chip_servicer.h).
 //
 // Scheduling. Each shard owns an independent flash timeline: a command's
 // per-shard portion starts at max(submit time, that shard's free time)
@@ -29,8 +29,7 @@
 // command's completion record combines its per-shard slots: service
 // start is the earliest shard start, completion the latest shard
 // completion, and stall the sum of the per-shard attributed stalls
-// (which is also how the per-shard ledgers sum to the single-chip value
-// at shards = 1).
+// (which is also how the per-shard ledgers sum to the device total).
 //
 // Determinism. Shard assignment is a pure function of the lpn, each
 // shard services its sub-stream in global submission order against its
@@ -40,16 +39,16 @@
 // the merged log is byte-identical for any worker count. Because
 // per-shard completion times are not monotone in submission order, the
 // log position of a record is only final once no future command can
-// complete earlier; poll() therefore withholds records that complete
-// after the newest submit time seen (a later submission could still
-// complete before them — submit stamps are non-decreasing, so anything
-// at or before that watermark is safe) and, under a reordering
-// arbitration policy, records that a still-queued command could still
-// precede (bounded below by the earliest queued submit time), while
-// drain() delivers everything. Polling cadences that end in one drain
-// all observe the identical log (tests/test_sharded_device.cc and
-// tests/test_arbitration.cc pin this, together with worker-count
-// byte-identity).
+// complete earlier. Every unserviced command starts no earlier than its
+// shard's free time, so poll() withholds records that complete after
+// both the newest submit time seen (submit stamps are non-decreasing)
+// and the earliest shard free time, and, under a reordering arbitration
+// policy, records that a still-queued command could still precede
+// (bounded below by the later of the earliest queued submit time and
+// the earliest shard free time), while drain() delivers everything.
+// Polling cadences that end in one drain all observe the identical log
+// (tests/test_sharded_device.cc and tests/test_arbitration.cc pin this,
+// together with worker-count byte-identity).
 #pragma once
 
 #include <cstdint>
@@ -60,6 +59,7 @@
 #include "flash/params.h"
 #include "host/device.h"
 #include "host/servicer.h"
+#include "host/timeline.h"
 #include "nand/geometry.h"
 
 namespace rdsim::host {
@@ -71,6 +71,13 @@ class ShardedDevice : public Device {
   /// depend on the worker count.
   ShardedDevice(std::vector<std::unique_ptr<Servicer>> shards,
                 int workers = 1, std::uint32_t queue_count = 1);
+
+  /// One-shard form: a single backend on one timeline, serviced inline
+  /// on the calling thread — the serial drive (make_device's `analytic`
+  /// and `mc_chip` backends). The servicer keeps the seed it was built
+  /// with; no shard seed is derived.
+  explicit ShardedDevice(std::unique_ptr<Servicer> servicer,
+                         std::uint32_t queue_count = 1);
 
   /// Monte-Carlo convenience form: `shard_geometry` is the geometry of
   /// EACH shard's chip (the device exports shards * blocks *
@@ -99,9 +106,10 @@ class ShardedDevice : public Device {
     return lpn / shard_count();
   }
 
-  /// The chip seed shard `shard` derives from the device seed — exposed
-  /// so tests can build the equivalent single-chip device: a one-shard
-  /// ShardedDevice is a McChipDevice with shard_seed(seed, 0).
+  /// The backend seed shard `shard` derives from the device seed, as the
+  /// multi-shard forms use it — exposed so tests and the factory build
+  /// shards exactly as the MC convenience ctor does. The one-shard form
+  /// derives nothing: its servicer keeps the drive seed.
   static std::uint64_t shard_seed(std::uint64_t seed, std::uint32_t shard);
 
   /// Shard `shard`'s backend engine, for backend-specific setup and
@@ -180,10 +188,10 @@ class ShardedDevice : public Device {
 
   /// Services pending[begin, end) — a flush-free run — across the shards
   /// on the pool, then merges the per-shard slots into one Completion per
-  /// command (appended to `out` in submission order).
+  /// command (appended to held_ in submission order). A one-shard device
+  /// services the run inline.
   void service_segment(const std::vector<Submitted>& pending,
-                       std::size_t begin, std::size_t end,
-                       std::vector<Completion>* out);
+                       std::size_t begin, std::size_t end);
 
   /// Cross-shard barrier: completes when every shard finished all earlier
   /// work; every shard's timeline advances to the barrier.
@@ -193,10 +201,10 @@ class ShardedDevice : public Device {
   ThreadPool pool_;
   /// Serviced completions not yet delivered, sorted by
   /// (complete_time, id) — the deterministic merged-log order. Records
-  /// are released once no future submission (submit stamps are
-  /// non-decreasing, so bounded below by max_submit_seen_s()) and no
-  /// still-queued command (bounded below by min_pending_submit_s())
-  /// could complete earlier.
+  /// are released once no future submission (bounded below by the
+  /// newest submit stamp and the earliest shard free time) and no
+  /// still-queued command (bounded below by its submit stamp and the
+  /// earliest shard free time) could complete earlier.
   std::vector<Completion> held_;
   /// Per-segment scratch: sub_results_[cmd * shards + shard].
   std::vector<SubResult> sub_results_;

@@ -7,13 +7,11 @@
 // as it stripes over N Monte Carlo chips. Each shard runs its own FTL,
 // garbage collection, refresh, and Vpass tuning over its slice of the
 // space; the nightly maintenance's flash busy seconds are returned so
-// the device reserves the shard's timeline for them, the same contract
-// SerialDevice applies to the single-drive SsdDevice.
+// the device reserves the shard's timeline for them.
 //
-// A one-shard sharded analytic drive is therefore the serial SsdDevice
-// by construction: the de-striped local command is the global command
-// verbatim and ssd::Ssd::service performs the identical page loop —
-// tests/test_sharded_analytic.cc pins the completion logs byte-for-byte.
+// The single analytic drive, host::SsdDevice (ssd_device.h), is a
+// one-shard device over one SsdServicer seeded with the drive seed: it
+// receives every global command verbatim.
 #pragma once
 
 #include <cstdint>

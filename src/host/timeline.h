@@ -8,8 +8,8 @@
 // turnover) reserves windows whose overlap with a later command's queue
 // wait is attributed as that command's stall.
 //
-// The serial Device engine owns exactly one FlashTimeline; ShardedDevice
-// owns one per shard so N chips schedule independently. Everything here
+// ShardedDevice owns one FlashTimeline per shard, so N chips schedule
+// independently and a one-shard drive runs on exactly one. Everything here
 // is simulated-clock arithmetic — no wall clock, no RNG — which is what
 // makes a completion schedule a pure function of the submission stream
 // (the determinism contract in docs/ARCHITECTURE.md).

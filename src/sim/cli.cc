@@ -56,7 +56,7 @@ bool parse_double(const std::string& s, double* out) {
 
 }  // namespace
 
-CliOptions parse_cli(int argc, char** argv, bool allow_experiment) {
+CliOptions parse_cli(int argc, char** argv) {
   CliOptions options;
   for (int i = 1; i < argc && options.error.empty(); ++i) {
     const std::string_view arg = argv[i];
@@ -127,10 +127,9 @@ CliOptions parse_cli(int argc, char** argv, bool allow_experiment) {
       options.quiet = true;
     } else if (arg == "--help" || arg == "-h") {
       options.help = true;
-    } else if (allow_experiment &&
-               take_value(argc, argv, i, "--experiment", value, options)) {
+    } else if (take_value(argc, argv, i, "--experiment", value, options)) {
       if (options.error.empty()) options.experiment = value;
-    } else if (allow_experiment && arg == "--list") {
+    } else if (arg == "--list") {
       options.list = true;
     } else {
       options.error = "unknown flag: " + std::string(arg);
@@ -144,11 +143,10 @@ const char* cli_flag_help() {
       "  --seed S        base seed for all random streams (default 42)\n"
       "  --threads N     worker threads; results are identical for any N\n"
       "  --out-dir DIR   directory for CSV output (default ./out)\n"
-      "  --csv [PATH]    write the CSV (default PATH <out-dir>/<name>.csv);\n"
-      "                  the rdsim driver then keeps the table off stdout.\n"
-      "                  Bench binaries always write their CSV unless\n"
-      "                  --no-file is given\n"
-      "  --no-file       print to stdout only, write no file\n"
+      "  --csv [PATH]    write the CSV (default PATH <out-dir>/<name>.csv)\n"
+      "                  and keep the table off stdout\n"
+      "  --no-file       print to stdout only, write no file (overrides\n"
+      "                  --csv)\n"
       "  --quiet         suppress the stdout table\n"
       "  --tiny          tiny chip geometry + 0.02 scale (fast smoke run)\n"
       "  --scale X       volume multiplier for SSD/DRAM experiments\n"

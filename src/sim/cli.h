@@ -1,11 +1,10 @@
 // rdsim/sim/cli.h
 //
-// Shared command-line handling for the experiment driver (tools/rdsim)
-// and the per-figure bench binaries. Both speak the same flag set, so
-// `fig03_rber_vs_pe --threads 4 --seed 7` and
-// `rdsim --experiment fig03 --threads 4 --seed 7` run the identical code
-// path; CSV files land under --out-dir (default ./out/) instead of being
-// scattered into the working directory.
+// Command-line handling for the experiment driver (tools/rdsim): every
+// registered experiment runs through the same flag set, e.g.
+// `rdsim --experiment fig03 --threads 4 --seed 7`; CSV files land under
+// --out-dir (default ./out/) instead of being scattered into the working
+// directory.
 #pragma once
 
 #include <string>
@@ -17,7 +16,7 @@ namespace rdsim::sim {
 
 struct CliOptions {
   ExperimentConfig config;
-  std::string experiment;      ///< --experiment NAME (driver only).
+  std::string experiment;      ///< --experiment NAME.
   std::string out_dir = "out"; ///< --out-dir DIR.
   std::string csv_path;        ///< --csv [PATH]; empty = not requested.
   bool csv_requested = false;  ///< --csv seen (path may be defaulted).
@@ -30,9 +29,8 @@ struct CliOptions {
   std::string error;           ///< Non-empty on a parse failure.
 };
 
-/// Parses argv[1..]; unknown flags land in `error`. `allow_experiment`
-/// enables the driver-only --experiment/--list flags.
-CliOptions parse_cli(int argc, char** argv, bool allow_experiment);
+/// Parses argv[1..]; unknown flags land in `error`.
+CliOptions parse_cli(int argc, char** argv);
 
 /// The flag summary printed by --help and on parse errors.
 const char* cli_flag_help();

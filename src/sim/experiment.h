@@ -5,8 +5,8 @@
 // over shared library code. Experiments receive an ExperimentContext that
 // carries the base seed, the chip geometry, a Monte-Carlo scale knob, and
 // a handle to the thread pool — so the same experiment runs full-size from
-// the `rdsim` driver, as a per-figure bench binary, or tiny-and-fast from
-// the unit tests, with results byte-identical across thread counts.
+// the `rdsim` driver or tiny-and-fast from the unit tests, with results
+// byte-identical across thread counts.
 #pragma once
 
 #include <csignal>

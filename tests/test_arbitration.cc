@@ -199,7 +199,7 @@ void check_conservation(Device& device) {
   EXPECT_EQ(status_total, stats.commands());
 }
 
-TEST(Arbitration, ConservationOnSerialDevice) {
+TEST(Arbitration, ConservationOnOneShardSsdDevice) {
   auto device = small_ssd_device(/*seed=*/11);
   check_conservation(*device);
 }

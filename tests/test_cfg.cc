@@ -19,8 +19,8 @@
 
 #include "cfg/profiles.h"
 #include "cfg/spec.h"
+#include "host/chip_servicer.h"
 #include "host/factory.h"
-#include "host/mc_chip_device.h"
 #include "host/sharded_device.h"
 #include "host/ssd_device.h"
 #include "host/ssd_servicer.h"
@@ -461,7 +461,7 @@ TEST(Factory, AnalyticSpecMatchesHandBuiltSsdDevice) {
   EXPECT_EQ(replay_log(*made, stream), replay_log(hand, stream));
 }
 
-TEST(Factory, McChipSpecMatchesHandBuiltMcChipDevice) {
+TEST(Factory, McChipSpecMatchesHandBuiltOneShardChipDevice) {
   const nand::Geometry geometry = nand::Geometry::tiny();
   DriveSpec spec;
   spec.backend = Backend::kMcChip;
@@ -470,8 +470,11 @@ TEST(Factory, McChipSpecMatchesHandBuiltMcChipDevice) {
   spec.blocks = geometry.blocks;
   spec.queue_count = 2;
 
-  host::McChipDevice hand(geometry, flash::FlashModelParams::default_2ynm(),
-                          /*seed=*/5, /*queue_count=*/2);
+  // The single-chip drive is one ChipServicer at the raw drive seed.
+  host::ShardedDevice hand(
+      std::make_unique<host::ChipServicer>(
+          geometry, flash::FlashModelParams::default_2ynm(), /*seed=*/5),
+      /*queue_count=*/2);
   const auto made = host::make_device(spec, /*seed=*/5);
   const auto stream = mixed_stream(hand.logical_pages(), 2, 13);
   EXPECT_EQ(replay_log(*made, stream), replay_log(hand, stream));

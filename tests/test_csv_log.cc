@@ -1,10 +1,9 @@
-// Unit tests for common/csv.h and common/log.h.
+// Unit tests for common/csv.h.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "common/csv.h"
-#include "common/log.h"
 
 namespace rdsim {
 namespace {
@@ -42,21 +41,6 @@ TEST(Csv, EmptyRow) {
   CsvWriter csv(out);
   csv.row_vec({});
   EXPECT_EQ(out.str(), "\n");
-}
-
-TEST(Log, LevelFiltering) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Filtered calls must be safe no-ops.
-  log_debug("dropped ", 1);
-  log_info("dropped");
-  log_warn("dropped");
-  set_log_level(before);
-}
-
-TEST(Log, ConcatFormatsMixedTypes) {
-  EXPECT_EQ(detail::concat("a=", 1, ", b=", 2.5), "a=1, b=2.5");
 }
 
 }  // namespace

@@ -12,8 +12,8 @@
 #include "cfg/spec.h"
 #include "flash/params.h"
 #include "ftl/ftl.h"
+#include "host/chip_servicer.h"
 #include "host/factory.h"
-#include "host/mc_chip_device.h"
 #include "host/sharded_device.h"
 #include "host/ssd_device.h"
 #include "ssd/ssd.h"
@@ -163,8 +163,9 @@ TEST(DeviceFaults, LatentPageFailsWholeLadderWithRecoveryLatency) {
   const auto params = flash::FlashModelParams::default_2ynm();
   host::ChipFaults faults;
   faults.latent_page_prob = 1.0;
-  host::McChipDevice device(geometry, params, 3, 1, host::LatencyParams{},
-                            host::ChipErrorPath{}, faults);
+  host::ShardedDevice device(std::make_unique<host::ChipServicer>(
+      geometry, params, 3, host::LatencyParams{}, host::ChipErrorPath{},
+      faults));
 
   const host::Completion ok_free = roundtrip(
       device, host::CommandKind::kTrim, 0);  // Metadata-only: no ladder.
@@ -191,8 +192,9 @@ TEST(DeviceFaults, DieKillFlipsChipAtItsDay) {
   const auto params = flash::FlashModelParams::default_2ynm();
   host::ChipFaults faults;
   faults.die_kill_day = 1.0;
-  host::McChipDevice device(geometry, params, 3, 1, host::LatencyParams{},
-                            host::ChipErrorPath{}, faults);
+  host::ShardedDevice device(std::make_unique<host::ChipServicer>(
+      geometry, params, 3, host::LatencyParams{}, host::ChipErrorPath{},
+      faults));
 
   EXPECT_EQ(roundtrip(device, host::CommandKind::kRead, 0).status,
             host::Status::kOk);

@@ -95,6 +95,10 @@ struct GoldenEntry {
 // bit-transparent (keys are constant, the sorted service order is the
 // submission order, and nothing is ever withheld from service), and no
 // pre-existing run configures a [tenants] section.
+// The separate serial engine behind the analytic and mc_chip backends was
+// later deleted in favour of a one-shard ShardedDevice seeded with the
+// raw drive seed, with every hash unchanged: these hashes, recorded on
+// the serial engine, are what pins the two engines' equivalence.
 constexpr GoldenEntry kGolden[] = {
     {"fig_fleet", 0x94E36796},
     {"fig_qos_tenants", 0xA506CF6E},

@@ -9,7 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "host/mc_chip_device.h"
+#include "host/chip_servicer.h"
+#include "host/sharded_device.h"
 #include "host/ssd_device.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
@@ -188,15 +189,23 @@ TEST(CompletionStats, LatencyBeyondHistogramClampsToCeiling) {
   EXPECT_DOUBLE_EQ(stats.max_latency_s(CommandKind::kWrite), 5.0);
 }
 
-TEST(McChipDevice, QueuedReadsObserveDisturbErrors) {
+/// The single-chip Monte Carlo drive (make_device's `mc_chip` backend):
+/// a one-shard ShardedDevice over a ChipServicer at the drive seed.
+ShardedDevice single_chip_device(const nand::Geometry& geometry,
+                                 std::uint64_t seed) {
+  return ShardedDevice(std::make_unique<ChipServicer>(
+      geometry, flash::FlashModelParams::default_2ynm(), seed));
+}
+
+TEST(McChipBackend, QueuedReadsObserveDisturbErrors) {
   // Reads through the queued interface sense real cells: on a worn chip,
   // hammering pages raises the observed raw bit error count.
-  const auto params = flash::FlashModelParams::default_2ynm();
-  McChipDevice device(nand::Geometry::tiny(), params, 3);
-  for (std::size_t b = 0; b < device.chip().block_count(); ++b) {
-    device.chip().block(b).erase();
-    device.chip().block(b).add_wear(8000);
-    device.chip().block(b).program_random();
+  ShardedDevice device = single_chip_device(nand::Geometry::tiny(), 3);
+  nand::Chip& chip = device.shard_chip(0);
+  for (std::size_t b = 0; b < chip.block_count(); ++b) {
+    chip.block(b).erase();
+    chip.block(b).add_wear(8000);
+    chip.block(b).program_random();
   }
   Command read;
   read.kind = CommandKind::kRead;
@@ -207,19 +216,19 @@ TEST(McChipDevice, QueuedReadsObserveDisturbErrors) {
   const std::uint64_t errors_fresh = device.read_bit_errors();
 
   // A million disturbs later the same page reads back much dirtier.
-  device.chip().block(0).apply_reads(1, 1e6);
+  chip.block(0).apply_reads(1, 1e6);
   device.submit(read);
   device.drain(&done);
   EXPECT_GT(device.read_bit_errors(), errors_fresh + 10);
   EXPECT_EQ(device.pages_read(), 2u);
 }
 
-TEST(McChipDevice, WritesTurnOverBlocksAndClearDisturb) {
-  const auto params = flash::FlashModelParams::default_2ynm();
+TEST(McChipBackend, WritesTurnOverBlocksAndClearDisturb) {
   const nand::Geometry geometry = nand::Geometry::tiny();
-  McChipDevice device(geometry, params, 4);
-  device.chip().block(0).apply_reads(1, 5e5);
-  const double dose_before = device.chip().block(0).dose();
+  ShardedDevice device = single_chip_device(geometry, 4);
+  nand::Chip& chip = device.shard_chip(0);
+  chip.block(0).apply_reads(1, 5e5);
+  const double dose_before = chip.block(0).dose();
   EXPECT_GT(dose_before, 0.0);
   // A block's worth of writes to block 0 forces its erase + reprogram.
   Command write;
@@ -230,14 +239,13 @@ TEST(McChipDevice, WritesTurnOverBlocksAndClearDisturb) {
   std::vector<Completion> done;
   device.drain(&done);
   EXPECT_EQ(device.block_rewrites(), 1u);
-  EXPECT_EQ(device.chip().block(0).dose(), 0.0);
+  EXPECT_EQ(chip.block(0).dose(), 0.0);
   EXPECT_GT(done[0].stall_s, 0.0);  // The erase is charged as a stall.
 }
 
-TEST(McChipDevice, LogicalSpaceCoversWholeChip) {
-  const auto params = flash::FlashModelParams::default_2ynm();
+TEST(McChipBackend, LogicalSpaceCoversWholeChip) {
   const nand::Geometry geometry = nand::Geometry::tiny();
-  McChipDevice device(geometry, params, 5);
+  ShardedDevice device = single_chip_device(geometry, 5);
   EXPECT_EQ(device.logical_pages(),
             static_cast<std::uint64_t>(geometry.blocks) *
                 geometry.pages_per_block());

@@ -1,15 +1,10 @@
 // Tests for the sharded *analytic* drive: host::ShardedDevice with
 // SsdServicer shards — the Servicer generalization that gives the
 // analytic ssd::Ssd the same RAID-0 N-way scaling as the Monte Carlo
-// chips. Mirrors tests/test_sharded_device.cc, with the serial
-// reference being SsdDevice instead of McChipDevice:
+// chips. Mirrors tests/test_sharded_device.cc:
 //   1. the merged completion log is byte-identical for any worker count;
 //   2. the log is byte-identical across poll cadences;
-//   3. a one-shard device is the serial SsdDevice, log-for-log — at any
-//      worker count — including across end_of_day maintenance (whose
-//      flash busy time must land on the shard timeline exactly like
-//      SerialDevice reserves it);
-//   4. the per-shard stall ledger sums to the device total.
+//   3. the per-shard stall ledger sums to the device total.
 #include "host/sharded_device.h"
 
 #include <gtest/gtest.h>
@@ -20,7 +15,6 @@
 #include <vector>
 
 #include "host/driver.h"
-#include "host/ssd_device.h"
 #include "host/ssd_servicer.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
@@ -126,34 +120,6 @@ TEST(ShardedAnalytic, MergedLogIdenticalAtAnyPollCadence) {
   }
   EXPECT_EQ(logs[0], logs[1]);
   EXPECT_EQ(logs[0], logs[2]);
-}
-
-TEST(ShardedAnalytic, OneShardIsTheSerialSsdDevice) {
-  // shards = 1 must degenerate to SsdDevice exactly: the de-striped
-  // local command is the global command verbatim, the single timeline
-  // behaves like SerialDevice's, and end_of_day maintenance reserves
-  // the same busy window — byte-identical logs at any worker count.
-  const std::uint64_t seed = 11;
-  const auto params = flash::FlashModelParams::default_2ynm();
-  SsdDevice serial(shard_config(), params,
-                   ShardedDevice::shard_seed(seed, 0), /*queue_count=*/2);
-  const auto stream = mixed_stream(serial.logical_pages(), 2, 9);
-  ASSERT_GT(stream.size(), 500u);
-  const std::string serial_log = replay_log(serial, stream);
-  EXPECT_GT(serial.stats().stall_seconds(), 0.0);
-
-  for (const int workers : {1, 4}) {
-    auto sharded = make_sharded_analytic(seed, /*shards=*/1, workers,
-                                         /*queues=*/2);
-    EXPECT_EQ(sharded->logical_pages(), serial.logical_pages());
-    EXPECT_EQ(replay_log(*sharded, stream), serial_log);
-    // The shard-0 stall ledger is the whole device's stall total, and
-    // matches the serial device's.
-    EXPECT_DOUBLE_EQ(sharded->stats().stall_seconds(),
-                     serial.stats().stall_seconds());
-    EXPECT_DOUBLE_EQ(sharded->shard_stall_seconds(0),
-                     sharded->stats().stall_seconds());
-  }
 }
 
 TEST(ShardedAnalytic, PerShardStallLedgerSumsToDeviceTotal) {

@@ -4,19 +4,19 @@
 //   1. the merged completion log is byte-identical for any worker count;
 //   2. the log is byte-identical across poll cadences (poll withholds
 //      records whose position is not final; drain delivers everything);
-//   3. a one-shard device is the single-chip McChipDevice, log-for-log,
-//      and the per-shard stall ledger sums to the single-chip value;
+//   3. poll() releases records up to the earliest shard free time, and
+//      the per-shard stall ledger sums to the device total;
 //   4. flush is a cross-shard barrier;
 //   5. striping is a pure function of the lpn and covers every chip.
 #include "host/sharded_device.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "host/driver.h"
-#include "host/mc_chip_device.h"
 #include "nand/chip.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
@@ -84,7 +84,7 @@ TEST(ShardedDevice, MergedLogIdenticalForAnyWorkerCount) {
 }
 
 TEST(ShardedDevice, MergedLogIdenticalAtAnyPollCadence) {
-  // Same contract as the serial device, made non-trivial by the N
+  // Same contract as a one-shard device, made non-trivial by the N
   // independent timelines: poll() withholds records that a future
   // submission could still displace in the (complete_time, id) order, so
   // any cadence of polls ending in one drain observes the same bytes.
@@ -137,41 +137,54 @@ TEST(ShardedDevice, PollWithholdsOnlyUnstableRecords) {
   }
 }
 
-TEST(ShardedDevice, OneShardIsTheSingleChipDevice) {
-  // shards = 1 must degenerate to McChipDevice exactly: same chip seed,
-  // same stream => byte-identical completion log, and the shard-0 stall
-  // ledger is the single-chip stall total.
+TEST(ShardedDevice, PollReleasesRecordsUpToTheEarliestShardFreeTime) {
+  // Every command not yet serviced starts no earlier than its shard's
+  // free time, so records completing at or before the earliest shard
+  // free time are final even though they complete after the newest
+  // submit stamp. Four single-page reads at t = 0: three queue on shard
+  // 0 (even lpns), one lands on shard 1.
   const auto params = flash::FlashModelParams::default_2ynm();
-  const nand::Geometry geometry = nand::Geometry::tiny();
-  const std::uint64_t seed = 11;
-
-  auto make_sharded = [&] {
-    return std::make_unique<ShardedDevice>(geometry, params, seed,
-                                           /*shards=*/1, /*workers=*/4,
-                                           /*queue_count=*/2);
+  auto make = [&] {
+    return std::make_unique<ShardedDevice>(nand::Geometry::tiny(), params,
+                                           /*seed=*/3, /*shards=*/2,
+                                           /*workers=*/1);
   };
-  auto make_single = [&] {
-    return std::make_unique<McChipDevice>(
-        geometry, params, ShardedDevice::shard_seed(seed, 0),
-        /*queue_count=*/2);
+  auto submit_reads = [](ShardedDevice& device) {
+    for (const std::uint64_t lpn : {0, 2, 4, 1}) {
+      Command read;
+      read.kind = CommandKind::kRead;
+      read.lpn = lpn;
+      device.submit(read);
+    }
   };
-  const auto stream = mixed_stream(make_single()->logical_pages(), 2, 9);
-  ASSERT_GT(stream.size(), 500u);
-  EXPECT_EQ(replay_log(make_sharded, stream),
-            replay_log(make_single, stream));
 
-  // Stall ledgers: replay again on live devices and compare the sums.
-  auto sharded = make_sharded();
-  auto single = make_single();
-  for (const auto& c : stream) {
-    sharded->submit(c);
-    single->submit(c);
+  auto reference = make();
+  submit_reads(*reference);
+  std::vector<Completion> drained;
+  reference->drain(&drained);
+  ASSERT_EQ(drained.size(), 4u);
+  // Each read touches one shard, so a shard's free time is the latest
+  // completion among its reads.
+  double shard_free[2] = {0.0, 0.0};
+  for (const Completion& rec : drained) {
+    double& free_s = shard_free[reference->shard_of(rec.lpn)];
+    free_s = std::max(free_s, rec.complete_time_s);
   }
-  EXPECT_GT(sharded->stats().stall_seconds(), 0.0);
-  EXPECT_DOUBLE_EQ(sharded->stats().stall_seconds(),
-                   single->stats().stall_seconds());
-  EXPECT_DOUBLE_EQ(sharded->shard_stall_seconds(0),
-                   sharded->stats().stall_seconds());
+  const double earliest_free = std::min(shard_free[0], shard_free[1]);
+  std::size_t expected = 0;
+  for (const Completion& rec : drained)
+    if (rec.complete_time_s <= earliest_free) ++expected;
+  ASSERT_GT(earliest_free, 0.0);  // All complete after the submit stamp.
+  ASSERT_GT(expected, 0u);
+  ASSERT_LT(expected, drained.size());
+
+  auto device = make();
+  submit_reads(*device);
+  std::vector<Completion> got;
+  EXPECT_EQ(device->poll(&got, 16), expected);
+  EXPECT_EQ(device->outstanding(), drained.size() - expected);
+  device->drain(&got);
+  EXPECT_EQ(log_of(got), log_of(drained));
 }
 
 TEST(ShardedDevice, PerShardStallLedgerSumsToDeviceTotal) {
