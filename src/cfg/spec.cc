@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 namespace rdsim::cfg {
 
@@ -560,6 +561,17 @@ ScenarioSpec parse_scenario(Config& config, std::vector<Diagnostic>* diags) {
   parse_workload(config, &spec.workload, !spec.trace.enabled(), diags);
   parse_tenants(config, &spec, diags);
   config.report_unknown(diags);
+  return spec;
+}
+
+ScenarioSpec load_scenario_file(const std::string& path) {
+  std::vector<Diagnostic> diags;
+  Config config = Config::parse_file(path, &diags);
+  ScenarioSpec spec;
+  if (diags.empty()) spec = parse_scenario(config, &diags);
+  if (!diags.empty())
+    throw std::runtime_error("invalid scenario config '" + path + "':\n" +
+                             format_diagnostics(diags));
   return spec;
 }
 

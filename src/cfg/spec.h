@@ -203,4 +203,9 @@ struct ScenarioSpec {
 /// were added (callers check diags->empty()).
 ScenarioSpec parse_scenario(Config& config, std::vector<Diagnostic>* diags);
 
+/// Reads, parses and validates the scenario config file at `path`. Throws
+/// std::runtime_error listing every diagnostic, so a typo'd key never
+/// produces a silently-default run.
+ScenarioSpec load_scenario_file(const std::string& path);
+
 }  // namespace rdsim::cfg

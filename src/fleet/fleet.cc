@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "common/serialize.h"
+#include "common/stats.h"
 #include "ecc/crc32.h"
 #include "fleet/checkpoint.h"
 #include "host/command.h"
@@ -71,15 +72,6 @@ void accumulate(ssd::SsdStats* acc, const ssd::SsdStats& s) {
 }
 
 std::string fmt_double(double v) { return sim::strf("%.17g", v); }
-
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
 
 }  // namespace
 
@@ -348,7 +340,8 @@ sim::Table FleetRunner::table() const {
   t.row(sim::strf("%llu,%.1f,%.1f,%.1f,%.1f,%u",
                   static_cast<unsigned long long>(fails.size()),
                   fails.empty() ? 0.0 : fails.front(),
-                  percentile(fails, 0.5), percentile(fails, 0.9),
+                  fails.empty() ? 0.0 : percentile(fails, 50.0),
+                  fails.empty() ? 0.0 : percentile(fails, 90.0),
                   fails.empty() ? 0.0 : fails.back(), never));
   return t;
 }

@@ -179,8 +179,9 @@ const char* cli_flag_help() {
       "                  cleanly with resume instructions\n"
       "  --stop-after-checkpoints N\n"
       "                  stop the fleet run right after the N-th periodic\n"
-      "                  checkpoint, exactly as if interrupted (used by CI\n"
-      "                  for deterministic kill-and-resume smokes)\n"
+      "                  checkpoint, exactly as if interrupted (the\n"
+      "                  deterministic stop of the ctest case\n"
+      "                  cli_checkpoint.stop_resume)\n"
       "  --help          this text\n";
 }
 

@@ -12,9 +12,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "cfg/config.h"
 #include "cfg/spec.h"
 #include "fleet/checkpoint.h"
 #include "fleet/fleet.h"
@@ -57,13 +55,7 @@ cfg::ScenarioSpec default_fleet_spec(ExperimentContext& ctx) {
 }
 
 cfg::ScenarioSpec fleet_spec_from_config(const std::string& path) {
-  std::vector<cfg::Diagnostic> diags;
-  cfg::Config config = cfg::Config::parse_file(path, &diags);
-  cfg::ScenarioSpec spec;
-  if (diags.empty()) spec = cfg::parse_scenario(config, &diags);
-  if (!diags.empty())
-    throw std::runtime_error("invalid fleet config '" + path + "':\n" +
-                             cfg::format_diagnostics(diags));
+  cfg::ScenarioSpec spec = cfg::load_scenario_file(path);
   if (!spec.fleet.enabled())
     throw std::runtime_error("config '" + path +
                              "' has no [fleet] section; fig_fleet needs "

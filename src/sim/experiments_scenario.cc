@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "cfg/config.h"
 #include "cfg/profiles.h"
 #include "cfg/spec.h"
 #include "host/driver.h"
@@ -33,17 +32,8 @@ namespace {
 /// the driver prints the message and exits non-zero, so a typo'd key
 /// never produces a silently-default run.
 cfg::ScenarioSpec resolve_scenario(ExperimentContext& ctx) {
-  if (!ctx.scenario_config().empty()) {
-    std::vector<cfg::Diagnostic> diags;
-    cfg::Config config = cfg::Config::parse_file(ctx.scenario_config(), &diags);
-    cfg::ScenarioSpec spec;
-    if (diags.empty()) spec = cfg::parse_scenario(config, &diags);
-    if (!diags.empty())
-      throw std::runtime_error("invalid scenario config '" +
-                               ctx.scenario_config() + "':\n" +
-                               cfg::format_diagnostics(diags));
-    return spec;
-  }
+  if (!ctx.scenario_config().empty())
+    return cfg::load_scenario_file(ctx.scenario_config());
   const std::string name = ctx.scenario_profile().empty()
                                ? cfg::builtin_profiles().front().name
                                : ctx.scenario_profile();
