@@ -29,8 +29,10 @@ ShardedDevice::ShardedDevice(std::vector<std::unique_ptr<Servicer>> shards,
                              int workers, std::uint32_t queue_count)
     : Device(queue_count), pool_(workers) {
   shards_.resize(shards.size());
-  for (std::size_t s = 0; s < shards.size(); ++s)
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    mc_shards_ = mc_shards_ || shards[s]->mc_chip() != nullptr;
     shards_[s].servicer = std::move(shards[s]);
+  }
 }
 
 ShardedDevice::ShardedDevice(std::unique_ptr<Servicer> servicer,
@@ -45,7 +47,7 @@ ShardedDevice::ShardedDevice(const nand::Geometry& shard_geometry,
                              std::uint64_t seed, std::uint32_t shards,
                              int workers, std::uint32_t queue_count,
                              const LatencyParams& latency)
-    : Device(queue_count), pool_(workers) {
+    : Device(queue_count), pool_(workers), mc_shards_(true) {
   shards_.resize(std::max<std::uint32_t>(1, shards));
   // Chip construction is bookkeeping-only under lazy materialization, so
   // building the shards serially costs nothing worth parallelizing.
@@ -129,7 +131,8 @@ void ShardedDevice::pump(bool force) {
   // in order).
   const auto mid = held_.begin() + static_cast<std::ptrdiff_t>(old_size);
   for (auto it = mid; it != held_.end(); ++it) record(*it);
-  std::sort(mid, held_.end(), completion_log_order);
+  if (!std::is_sorted(mid, held_.end(), completion_log_order))
+    std::sort(mid, held_.end(), completion_log_order);
   if (old_size > 0 && completion_log_order(*mid, *(mid - 1)))
     std::inplace_merge(held_.begin(), mid, held_.end(), completion_log_order);
 }
@@ -160,71 +163,82 @@ void ShardedDevice::service_segment(const std::vector<Submitted>& pending,
     return;
   }
 
+  // Hand the segment to the pool only when the work pays for the round
+  // trip; otherwise service it below, command-major, on this thread.
+  // Either way each shard sees its commands in submission order.
   const std::size_t n = end - begin;
   const std::uint32_t shard_n = shard_count();
-  sub_results_.assign(n * shard_n, SubResult{});
   const std::uint64_t logical = logical_pages();
-
-  pool_.for_each(shard_n, [&](std::size_t s) {
-    Shard& shard = shards_[s];
-    for (std::size_t k = 0; k < n; ++k) {
-      const Command& cmd = pending[begin + k].command;
-      ServiceCost cost;
-      bool touched = false;
-      const std::uint64_t wrapped = cmd.lpn % logical;
-      if (cmd.pages == 0) {
-        // Degenerate range: schedule a zero-cost record on the owning
-        // shard so the command still completes exactly once.
-        touched = shard_of(wrapped) == s;
-      } else {
-        // De-stripe: this shard's pages of the range are global offsets
-        // k0, k0 + shard_n, ... — one contiguous run in local space
-        // (each step is one local page), so the whole landing is a
-        // single local sub-command the servicer wraps internally.
-        const std::uint64_t k0 = (s + shard_n - wrapped % shard_n) % shard_n;
-        if (k0 < cmd.pages) {
-          touched = true;
-          Command local = cmd;
-          local.lpn = local_lpn((wrapped + k0) % logical);
-          local.pages = static_cast<std::uint32_t>(
-              (cmd.pages - k0 + shard_n - 1) / shard_n);
-          cost = shard.servicer->service(local);
-        }
+  std::uint64_t pages = 0;
+  for (std::size_t k = begin; k < end && pages < kPoolMinPages; ++k)
+    pages += pending[k].command.pages;
+  const bool pooled = mc_shards_ || pages >= kPoolMinPages;
+  if (pooled) {
+    sub_results_.assign(n * shard_n, SubResult{});
+    pool_.for_each(shard_n, [&](std::size_t s) {
+      for (std::size_t k = 0; k < n; ++k) {
+        const Command& cmd = pending[begin + k].command;
+        sub_results_[s * n + k] = service_on_shard(
+            static_cast<std::uint32_t>(s), cmd, cmd.lpn % logical, logical);
       }
-      if (!touched) continue;
-      const FlashTimeline::Slot slot =
-          shard.timeline.schedule(cmd.submit_time_s, cost);
-      SubResult& r = sub_results_[k * shard_n + s];
-      r.present = true;
-      r.start_s = slot.start_s;
-      r.complete_s = slot.complete_s;
-      r.stall_s = cost.stall_s + slot.bg_overlap_s;
-      r.status = cost.status;
-      r.error_pages = cost.error_pages;
-      shard.stall_seconds += r.stall_s;
-    }
-  });
-
+    });
+  }
   for (std::size_t k = 0; k < n; ++k) {
     const Submitted& sub = pending[begin + k];
     Completion rec = record_of(sub.id, sub.command);
-    double start = std::numeric_limits<double>::infinity();
-    double complete = 0.0;
-    double stall = 0.0;
-    for (std::uint32_t s = 0; s < shard_n; ++s) {
-      const SubResult& r = sub_results_[k * shard_n + s];
-      if (!r.present) continue;
-      start = std::min(start, r.start_s);
-      complete = std::max(complete, r.complete_s);
-      stall += r.stall_s;
-      rec.status = worst_status(rec.status, r.status);
-      rec.error_pages += r.error_pages;
-    }
-    rec.service_start_s = start;
-    rec.complete_time_s = complete;
-    rec.stall_s = stall;
+    rec.service_start_s = std::numeric_limits<double>::infinity();
+    const std::uint64_t wrapped = sub.command.lpn % logical;
+    for (std::uint32_t s = 0; s < shard_n; ++s)
+      fold(pooled ? sub_results_[s * n + k]
+                  : service_on_shard(s, sub.command, wrapped, logical),
+           &rec);
     held_.push_back(rec);
   }
+}
+
+ShardedDevice::SubResult ShardedDevice::service_on_shard(
+    std::uint32_t s, const Command& cmd, std::uint64_t wrapped,
+    std::uint64_t logical) {
+  const std::uint32_t shard_n = shard_count();
+  Shard& shard = shards_[s];
+  ServiceCost cost;
+  SubResult r;
+  if (cmd.pages == 0) {
+    // Degenerate range: schedule a zero-cost record on the owning shard
+    // so the command still completes exactly once.
+    if (shard_of(wrapped) != s) return r;
+  } else {
+    // De-stripe: this shard's pages of the range are global offsets k0,
+    // k0 + shard_n, ... — one contiguous run in local space (each step is
+    // one local page), so the whole landing is a single local sub-command
+    // the servicer wraps internally.
+    const std::uint64_t k0 = (s + shard_n - wrapped % shard_n) % shard_n;
+    if (k0 >= cmd.pages) return r;
+    Command local = cmd;
+    local.lpn = local_lpn((wrapped + k0) % logical);
+    local.pages =
+        static_cast<std::uint32_t>((cmd.pages - k0 + shard_n - 1) / shard_n);
+    cost = shard.servicer->service(local);
+  }
+  const FlashTimeline::Slot slot =
+      shard.timeline.schedule(cmd.submit_time_s, cost);
+  r.present = true;
+  r.start_s = slot.start_s;
+  r.complete_s = slot.complete_s;
+  r.stall_s = cost.stall_s + slot.bg_overlap_s;
+  r.status = cost.status;
+  r.error_pages = cost.error_pages;
+  shard.stall_seconds += r.stall_s;
+  return r;
+}
+
+void ShardedDevice::fold(const SubResult& r, Completion* rec) {
+  if (!r.present) return;
+  rec->service_start_s = std::min(rec->service_start_s, r.start_s);
+  rec->complete_time_s = std::max(rec->complete_time_s, r.complete_s);
+  rec->stall_s += r.stall_s;
+  rec->status = worst_status(rec->status, r.status);
+  rec->error_pages += r.error_pages;
 }
 
 Completion ShardedDevice::service_flush(const Submitted& sub) {

@@ -31,12 +31,21 @@
 // completion, and stall the sum of the per-shard attributed stalls
 // (which is also how the per-shard ledgers sum to the device total).
 //
+// Dispatch. A flush-free segment of a multi-shard device goes to the
+// pool only when the work pays for the round trip: when the shards are
+// Monte Carlo chips, or when the segment carries at least kPoolMinPages
+// pages. Every other segment is serviced inline on the calling thread,
+// command by command, each command's shard slots folded straight into its
+// completion record.
+//
 // Determinism. Shard assignment is a pure function of the lpn, each
 // shard services its sub-stream in global submission order against its
 // own timeline, and the per-shard completion records are merged into one
 // log by a stable sort keyed on (complete_time, submit order). Worker
-// threads only decide *where* a shard's (single-threaded) work runs, so
-// the merged log is byte-identical for any worker count. Because
+// threads and the dispatch path only decide *where* a shard's
+// (single-threaded) work runs and how it interleaves with other shards',
+// and both paths fold a command's slots in shard order, so the merged
+// log is byte-identical for any worker count on either path. Because
 // per-shard completion times are not monotone in submission order, the
 // log position of a record is only final once no future command can
 // complete earlier. Every unserviced command starts no earlier than its
@@ -93,6 +102,19 @@ class ShardedDevice : public Device {
     return static_cast<std::uint32_t>(shards_.size());
   }
   int worker_count() const { return pool_.thread_count(); }
+
+  /// Smallest flush-free analytic segment, in pages, that service_segment
+  /// hands to the pool; smaller ones are serviced inline. Not a setting:
+  /// results are identical on either path, so only speed depends on it.
+  /// Set at the measured crossover: host ns per page of a warm-filled
+  /// 4-shard analytic drive (256 blocks x 128 pages per shard) serving
+  /// segments of random 4-page reads on a 2-wide pool; median of 5 runs,
+  /// each the median of 9 alternating reps, 4-vCPU host, gcc 12.2
+  /// Release. The pool first wins at 512 pages (in 3 of the 5 runs):
+  ///   segment pages    64   128   256   512  1024  2048  4096  8192
+  ///   inline          140   128   148   138   146   137   144   160
+  ///   pool            244   217   182   127   134   102   120   116
+  static constexpr std::uint64_t kPoolMinPages = 512;
 
   std::uint64_t logical_pages() const override {
     return shard_count() * shards_.front().servicer->logical_pages();
@@ -170,7 +192,9 @@ class ShardedDevice : public Device {
   void release_ready(bool drain_all) override;
 
  private:
-  struct Shard {
+  /// Cache-line aligned: pool workers write neighbouring shards'
+  /// timelines and ledgers concurrently.
+  struct alignas(64) Shard {
     std::unique_ptr<Servicer> servicer;
     FlashTimeline timeline;
     double stall_seconds = 0.0;
@@ -187,11 +211,25 @@ class ShardedDevice : public Device {
   };
 
   /// Services pending[begin, end) — a flush-free run — across the shards
-  /// on the pool, then merges the per-shard slots into one Completion per
-  /// command (appended to held_ in submission order). A one-shard device
-  /// services the run inline.
+  /// and appends one Completion per command to held_ in submission order.
+  /// A one-shard device services the run inline. A multi-shard run goes
+  /// to the pool (shard-major, through sub_results_) when its shards are
+  /// Monte Carlo chips or it carries at least kPoolMinPages pages, and is
+  /// otherwise serviced inline, command-major.
   void service_segment(const std::vector<Submitted>& pending,
                        std::size_t begin, std::size_t end);
+
+  /// Services and schedules command `cmd`'s landing on shard `s`
+  /// (`wrapped` is its first page modulo the `logical` page count);
+  /// `present` is false when the command has no pages there.
+  SubResult service_on_shard(std::uint32_t s, const Command& cmd,
+                             std::uint64_t wrapped, std::uint64_t logical);
+
+  /// Folds one shard slot into command record `rec`, whose service start
+  /// begins at +infinity: service start is the earliest shard start,
+  /// completion the latest shard completion, stall the sum of the shard
+  /// stalls. Both dispatch paths fold in shard order, so they round alike.
+  static void fold(const SubResult& r, Completion* rec);
 
   /// Cross-shard barrier: completes when every shard finished all earlier
   /// work; every shard's timeline advances to the barrier.
@@ -206,7 +244,11 @@ class ShardedDevice : public Device {
   /// still-queued command (bounded below by its submit stamp and the
   /// earliest shard free time) could complete earlier.
   std::vector<Completion> held_;
-  /// Per-segment scratch: sub_results_[cmd * shards + shard].
+  /// True when the shards are Monte Carlo chips, whose per-page service
+  /// cost always pays for a pool round trip.
+  bool mc_shards_ = false;
+  /// Pool-path scratch, shard-major so each worker writes its own run:
+  /// sub_results_[shard * segment commands + cmd].
   std::vector<SubResult> sub_results_;
 };
 

@@ -4,7 +4,8 @@
 // chips. Mirrors tests/test_sharded_device.cc:
 //   1. the merged completion log is byte-identical for any worker count;
 //   2. the log is byte-identical across poll cadences;
-//   3. the per-shard stall ledger sums to the device total.
+//   3. the per-shard stall ledger sums to the device total;
+//   4. segments serviced inline and on the pool give the same records.
 #include "host/sharded_device.h"
 
 #include <gtest/gtest.h>
@@ -148,6 +149,59 @@ TEST(ShardedAnalytic, StripingSpreadsHostPagesAcrossShardFtls) {
     EXPECT_EQ(device->shard_servicer(s).pages_written(), logical / 4);
   // The analytic backend senses no individual bits.
   EXPECT_EQ(device->read_bit_errors(), 0u);
+}
+
+TEST(ShardedAnalytic, InlineAndPooledSegmentsAgree) {
+  // Every submit stamp at 0 and FIFO arbitration make each shard's
+  // timeline independent of how the stream is chunked into drains, so
+  // one big drain (pool path) and windows of 1-3 commands (inline path)
+  // must produce the same records. The warm fill makes the stream's
+  // writes garbage-collect, so stalls and background overlap are live.
+  std::vector<Command> stream;
+  std::vector<std::vector<Completion>> runs;
+  for (const bool pooled : {true, false}) {
+    auto device = make_sharded_analytic(/*seed=*/11, /*shards=*/4,
+                                        /*workers=*/2, /*queues=*/1);
+    warm_fill(*device);
+    if (stream.empty()) {
+      for (Command c : mixed_stream(device->logical_pages(), 1, 23)) {
+        if (c.kind == CommandKind::kFlush) continue;
+        c.submit_time_s = 0.0;
+        stream.push_back(c);
+      }
+    }
+    std::vector<Completion> got;
+    if (pooled) {
+      std::uint64_t pages = 0;
+      for (const Command& c : stream) {
+        device->submit(c);
+        pages += c.pages;
+      }
+      ASSERT_GE(pages, ShardedDevice::kPoolMinPages);
+      device->drain(&got);
+    } else {
+      std::size_t i = 0;
+      for (std::size_t window = 1; i < stream.size();
+           window = window % 3 + 1) {
+        std::uint64_t pages = 0;
+        for (std::size_t end = std::min(stream.size(), i + window); i < end;
+             ++i) {
+          device->submit(stream[i]);
+          pages += stream[i].pages;
+        }
+        ASSERT_LT(pages, ShardedDevice::kPoolMinPages);
+        device->drain(&got);
+      }
+    }
+    EXPECT_GT(device->stats().stall_seconds(), 0.0);
+    std::sort(got.begin(), got.end(),
+              [](const Completion& a, const Completion& b) {
+                return a.id < b.id;
+              });
+    runs.push_back(std::move(got));
+  }
+  ASSERT_EQ(runs[0].size(), stream.size());
+  EXPECT_EQ(log_of(runs[0]), log_of(runs[1]));
 }
 
 }  // namespace
