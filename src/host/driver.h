@@ -68,19 +68,29 @@ class ClosedLoopDriver {
   void set_completion_sink(std::vector<Completion>* sink) { sink_ = sink; }
 
   /// Replays one batch of commands (submit-time stamps are overwritten)
-  /// and absorbs every completion at the end of the batch.
+  /// and absorbs every completion at the end of the batch: submit() for
+  /// each command, then settle().
   void run(const std::vector<Command>& commands) {
-    for (Command c : commands) {
-      if (in_flight_ >= depth_) release_s_ = next_completion_s();
-      c.submit_time_s = std::max(last_submit_s_, release_s_);
-      last_submit_s_ = c.submit_time_s;
-      device_->submit(c);
-      ++in_flight_;
-    }
-    // End of batch: absorb everything still in flight so the next run()
-    // (or end_of_day) starts from a quiet device. Both the local buffer
-    // and the device deliver in completion order, so each back() is the
-    // latest completion it holds.
+    for (const Command& c : commands) submit(c);
+    settle();
+  }
+
+  /// Submits one command (its submit-time stamp is overwritten) once a
+  /// slot is free. A stream fed command by command and settled once
+  /// follows exactly the schedule of one run() over the whole stream.
+  void submit(Command c) {
+    if (in_flight_ >= depth_) release_s_ = next_completion_s();
+    c.submit_time_s = std::max(last_submit_s_, release_s_);
+    last_submit_s_ = c.submit_time_s;
+    device_->submit(c);
+    ++in_flight_;
+  }
+
+  /// Absorbs everything still in flight so the next batch (or
+  /// end_of_day) starts from a quiet device.
+  void settle() {
+    // Both the local buffer and the device deliver in completion order,
+    // so each back() is the latest completion it holds.
     if (next_ < buffer_.size())
       release_s_ = std::max(release_s_, buffer_.back().complete_time_s);
     buffer_.clear();

@@ -6,9 +6,9 @@
 // (SsdDevice) and Monte Carlo chip, and the N-shard Monte Carlo and
 // analytic drives (over ChipServicer / SsdServicer shards) — so
 // experiments, the generic scenario runner, and tests share one bring-up
-// path. fig_qos and fig_qos_mc build their drives through this factory;
-// the golden CRCs pin that the spec-built devices are bit-identical to
-// the historical hand-built ones.
+// path. The queued-drive experiments reach it through
+// sim::drive_scenario; the golden CRCs pin that the spec-built devices
+// are bit-identical to the historical hand-built ones.
 //
 // `seed` is the drive seed: the one-shard backends seed their servicer
 // with it directly, the sharded backends derive shard s's seed as

@@ -101,7 +101,6 @@ class ShardedDevice : public Device {
   std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
   }
-  int worker_count() const { return pool_.thread_count(); }
 
   /// Smallest flush-free analytic segment, in pages, that service_segment
   /// hands to the pool; smaller ones are serviced inline. Not a setting:

@@ -85,25 +85,26 @@ ReplaySummary replay_trace(std::istream& in, host::Device& device,
     }
   } else {
     // QD-bounded: the driver re-stamps submit times as slots free; trace
-    // timestamps only fix the submission order.
+    // timestamps only fix the submission order. Records are submitted one
+    // by one and the driver settles once, after the last chunk, so the
+    // schedule is that of one unbroken stream whatever the window.
     host::ClosedLoopDriver driver(device, static_cast<int>(
                                               options.queue_depth));
     std::vector<host::Completion> sunk;
     driver.set_completion_sink(&sunk);
-    std::vector<host::Command> commands;
     while (reader.read_chunk(window, &chunk) > 0) {
-      commands.clear();
       for (workload::IoRequest& r : chunk) {
         remapper.apply(&r);
-        commands.push_back(to_command(r, seq++, queues));
+        driver.submit(to_command(r, seq++, queues));
       }
-      driver.run(commands);
       absorb(sunk, &summary, tracker, log);
       sunk.clear();
     }
+    driver.settle();
+    absorb(sunk, &summary, tracker, log);
   }
 
-  // Final sweep (open-loop always needs it; closed-loop run() already
+  // Final sweep (open-loop always needs it; closed-loop settle() already
   // drains, so this is a cheap no-op there) and a globally ordered log:
   // batches drained early can straddle later-submitted commands that
   // completed earlier on an idle shard.

@@ -5,7 +5,9 @@
 // host's reads had to go, the flash time the recovery steps charged, and
 // the host-observed UBER. Section B injects program/erase failures into
 // the analytic drive's FTL and watches grown defects eat the spare pool
-// until the drive degrades to read-only. All fault randomness rides
+// until the drive degrades to read-only. Section A's fault cases are
+// ScenarioSpecs run through drive_scenario; section B drives its own day
+// loop because it stops at the read-only day. All fault randomness rides
 // dedicated Rng streams, so the table is byte-identical for any
 // --threads, and the zero-fault control rows are bit-identical to a
 // fault-free build.
@@ -74,32 +76,27 @@ Table run_fig_reliability(ExperimentContext& ctx) {
     };
     std::vector<CaseResult> results;
     for (const FaultCase& fc : cases) {
-      cfg::DriveSpec drive;
-      drive.backend = cfg::Backend::kShardedMc;
-      drive.shards = kShards;
-      drive.wordlines_per_block = shard_geometry.wordlines_per_block;
-      drive.bitlines = shard_geometry.bitlines;
-      drive.blocks = shard_geometry.blocks;
+      cfg::ScenarioSpec spec;
+      spec.days = days;
+      spec.queue_depth = 4;
+      spec.drive.backend = cfg::Backend::kShardedMc;
+      spec.drive.shards = kShards;
+      spec.drive.wordlines_per_block = shard_geometry.wordlines_per_block;
+      spec.drive.bitlines = shard_geometry.bitlines;
+      spec.drive.blocks = shard_geometry.blocks;
       // Pre-age like a characterization drive so the ECC sees realistic
       // raw error counts under the injected faults.
-      drive.pre_wear_pe = fc.pre_wear_pe;
-      drive.queue_count = 4;
-      drive.faults.latent_page_prob = fc.latent_page_prob;
+      spec.drive.pre_wear_pe = fc.pre_wear_pe;
+      spec.drive.queue_count = 4;
+      spec.drive.faults.latent_page_prob = fc.latent_page_prob;
       if (fc.die_kill_day >= 0.0) {
-        drive.faults.die_kill_shard = 1;
-        drive.faults.die_kill_day = fc.die_kill_day;
+        spec.drive.faults.die_kill_shard = 1;
+        spec.drive.faults.die_kill_day = fc.die_kill_day;
       }
-      const std::unique_ptr<host::Device> device_ptr =
-          host::make_device(drive, drive_seed, workers);
-      auto& device = static_cast<host::ShardedDevice&>(*device_ptr);
-
-      workload::TraceGenerator gen(profile, device.logical_pages(),
-                                   trace_seed, device.queue_count());
-      host::ClosedLoopDriver driver(device, 4);
-      for (int day = 0; day < days; ++day) {
-        driver.run(gen.day_commands());
-        device.end_of_day();
-      }
+      spec.workload.profile = profile;
+      const DrivenScenario run =
+          drive_scenario(spec, drive_seed, trace_seed, workers);
+      auto& device = static_cast<host::ShardedDevice&>(*run.device);
 
       const host::CompletionStats& stats = device.stats();
       const host::ErrorStats es = device.error_stats();

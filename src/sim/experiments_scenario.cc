@@ -2,10 +2,13 @@
 // a config file (--config), a built-in profile (--profile), or the
 // default profile — against the factory-built drive it describes, and
 // report the QoS summary fig_qos established plus per-shard attribution
-// when the drive is sharded. This is the config-driven front door: the
-// experiment itself contains no bring-up code, only spec resolution,
-// volume scaling, and the replay loop, so every backend the factory can
-// build is runnable from a text file without recompiling.
+// when the drive is sharded. This is the config-driven front door, so
+// every backend the factory can build is runnable from a text file
+// without recompiling.
+//
+// drive_scenario, the bring-up and replay loop, is also the one driving
+// path of fig_qos, fig_qos_mc, fig_qos_tenants and fig_reliability's
+// section A: each of their sweep points is a ScenarioSpec.
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -18,7 +21,6 @@
 #include "host/driver.h"
 #include "host/factory.h"
 #include "host/sharded_device.h"
-#include "replay/latency.h"
 #include "replay/replayer.h"
 #include "sim/experiments.h"
 #include "workload/generator.h"
@@ -73,30 +75,19 @@ void apply_scale(ExperimentContext& ctx, cfg::ScenarioSpec* spec) {
 
 }  // namespace
 
-Table run_scenario(ExperimentContext& ctx) {
-  cfg::ScenarioSpec spec = resolve_scenario(ctx);
-  apply_scale(ctx, &spec);
-  // CLI --trace overrides (or supplies) the spec's trace path; the other
-  // [trace] knobs keep their config/default values.
-  if (!ctx.scenario_trace().empty()) spec.trace.path = ctx.scenario_trace();
-
-  // Same seed-derivation scheme as fig08/fig_qos: one drive seed and one
-  // trace seed, offset so seeds near the default move continuously.
-  const std::uint64_t drive_seed = 17 + (ctx.seed() - 42);
-  const std::uint64_t trace_seed = 7531 + (ctx.seed() - 42);
-  const int workers = ctx.runner().thread_count();
-
-  std::unique_ptr<host::Device> device =
-      host::make_device(spec.drive, drive_seed, workers);
-  if (spec.warm_fill && spec.drive.is_analytic()) host::warm_fill(*device);
+DrivenScenario drive_scenario(const cfg::ScenarioSpec& spec,
+                              std::uint64_t drive_seed,
+                              std::uint64_t trace_seed, int workers) {
+  DrivenScenario run;
+  run.device = host::make_device(spec.drive, drive_seed, workers);
+  host::Device& device = *run.device;
+  if (spec.warm_fill && spec.drive.is_analytic()) host::warm_fill(device);
   // Arbitration installs after the (single-tenant FIFO) warm fill, while
   // the device is quiet, so the fill traffic never skews a tenant's
   // fair-queueing clock.
   if (spec.tenants.enabled())
-    device->set_arbitration(spec.tenants.arbitration());
-  const bool multi_tenant = spec.tenants.count() >= 2;
+    device.set_arbitration(spec.tenants.arbitration());
 
-  replay::ReplaySummary trace_summary;
   if (spec.trace.enabled()) {
     // Real-trace replay through src/replay instead of the generator.
     std::ifstream file(spec.trace.path);
@@ -110,9 +101,9 @@ Table run_scenario(ExperimentContext& ctx) {
     opts.queue_depth = spec.trace.queue_depth;
     opts.speedup = spec.trace.speedup;
     opts.page_bytes = spec.trace.page_bytes;
-    trace_summary = replay::replay_trace(file, *device, opts, nullptr);
-    device->end_of_day();
-  } else if (multi_tenant) {
+    run.trace_summary = replay::replay_trace(file, device, opts, nullptr);
+    device.end_of_day();
+  } else if (spec.tenants.count() >= 2) {
     // One decorrelated stream per tenant, merged by arrival and driven
     // in bursts so the tenants are co-pending when the policy arbitrates
     // (a closed-loop trickle would leave it nothing to choose between).
@@ -120,13 +111,13 @@ Table run_scenario(ExperimentContext& ctx) {
     profiles.reserve(spec.tenants.tenants.size());
     for (const cfg::TenantSpec& tenant : spec.tenants.tenants)
       profiles.push_back(tenant.profile);
-    workload::MultiTenantGenerator gen(profiles, device->logical_pages(),
+    workload::MultiTenantGenerator gen(profiles, device.logical_pages(),
                                        trace_seed);
-    host::BurstWindowDriver driver(*device,
+    host::BurstWindowDriver driver(device,
                                    static_cast<int>(spec.queue_depth));
     for (int day = 0; day < spec.days; ++day) {
       driver.run(gen.day_commands());
-      device->end_of_day();
+      device.end_of_day();
     }
   } else {
     // Untagged scenario — or a single-tenant [tenants] section, which
@@ -135,18 +126,19 @@ Table run_scenario(ExperimentContext& ctx) {
     const workload::WorkloadProfile& profile =
         spec.tenants.count() == 1 ? spec.tenants.tenants[0].profile
                                   : spec.workload.profile;
-    workload::TraceGenerator gen(profile, device->logical_pages(),
-                                 trace_seed, device->queue_count());
-    host::ClosedLoopDriver driver(*device,
+    workload::TraceGenerator gen(profile, device.logical_pages(),
+                                 trace_seed, device.queue_count());
+    host::ClosedLoopDriver driver(device,
                                   static_cast<int>(spec.queue_depth));
     for (int day = 0; day < spec.days; ++day) {
       driver.run(gen.day_commands());
-      device->end_of_day();
+      device.end_of_day();
     }
   }
+  return run;
+}
 
-  const host::CompletionStats& stats = device->stats();
-  const auto us = [](double seconds) { return seconds * 1e6; };
+double stall_pct(const host::CompletionStats& stats) {
   using host::CommandKind;
   double latency_sum_s = 0.0;
   for (const CommandKind k :
@@ -154,9 +146,46 @@ Table run_scenario(ExperimentContext& ctx) {
         CommandKind::kFlush})
     latency_sum_s +=
         stats.mean_latency_s(k) * static_cast<double>(stats.commands(k));
-  const double stall_pct =
-      latency_sum_s <= 0.0 ? 0.0
-                           : stats.stall_seconds() / latency_sum_s * 100.0;
+  return latency_sum_s <= 0.0
+             ? 0.0
+             : stats.stall_seconds() / latency_sum_s * 100.0;
+}
+
+std::string qos_cells(const host::CompletionStats& stats) {
+  const auto us = [](double seconds) { return seconds * 1e6; };
+  using host::CommandKind;
+  return strf(
+      "%llu,%llu,%llu,%llu,%.0f,%.1f,%.1f,%.1f,%.1f,%.1f",
+      static_cast<unsigned long long>(stats.commands(CommandKind::kRead)),
+      static_cast<unsigned long long>(stats.commands(CommandKind::kWrite)),
+      static_cast<unsigned long long>(stats.commands(CommandKind::kTrim)),
+      static_cast<unsigned long long>(stats.commands(CommandKind::kFlush)),
+      stats.iops(), us(stats.mean_latency_s(CommandKind::kRead)),
+      us(stats.latency_quantile_s(CommandKind::kRead, 0.50)),
+      us(stats.latency_quantile_s(CommandKind::kRead, 0.99)),
+      us(stats.latency_quantile_s(CommandKind::kRead, 0.999)),
+      stall_pct(stats));
+}
+
+Table run_scenario(ExperimentContext& ctx) {
+  cfg::ScenarioSpec spec = resolve_scenario(ctx);
+  apply_scale(ctx, &spec);
+  // CLI --trace overrides (or supplies) the spec's trace path; the other
+  // [trace] knobs keep their config/default values.
+  if (!ctx.scenario_trace().empty()) spec.trace.path = ctx.scenario_trace();
+
+  // Same seed-derivation scheme as fig08/fig_qos: one drive seed and one
+  // trace seed, offset so seeds near the default move continuously.
+  const DrivenScenario run =
+      drive_scenario(spec, 17 + (ctx.seed() - 42), 7531 + (ctx.seed() - 42),
+                     ctx.runner().thread_count());
+  host::Device& device = *run.device;
+  const replay::ReplaySummary& trace_summary = run.trace_summary;
+  const bool multi_tenant = spec.tenants.count() >= 2;
+
+  const host::CompletionStats& stats = device.stats();
+  const auto us = [](double seconds) { return seconds * 1e6; };
+  using host::CommandKind;
 
   Table table;
   const std::string source =
@@ -169,22 +198,12 @@ Table run_scenario(ExperimentContext& ctx) {
                 std::to_string(spec.queue_depth);
   table.comment("scenario '" + spec.name + "': " +
                 cfg::backend_name(spec.drive.backend) + " drive, " + source);
-  table.row(
-      "backend,shards,days,queue_depth,reads,writes,trims,flushes,iops,"
-      "read_mean_us,read_p50_us,read_p99_us,read_p999_us,stall_pct");
+  table.row(std::string("backend,shards,days,queue_depth,") + kQosColumns);
   const bool sharded = spec.drive.is_sharded();
-  table.row(strf(
-      "%s,%u,%d,%u,%llu,%llu,%llu,%llu,%.0f,%.1f,%.1f,%.1f,%.1f,%.1f",
-      cfg::backend_name(spec.drive.backend),
-      sharded ? spec.drive.shards : 1, spec.days, spec.queue_depth,
-      static_cast<unsigned long long>(stats.commands(CommandKind::kRead)),
-      static_cast<unsigned long long>(stats.commands(CommandKind::kWrite)),
-      static_cast<unsigned long long>(stats.commands(CommandKind::kTrim)),
-      static_cast<unsigned long long>(stats.commands(CommandKind::kFlush)),
-      stats.iops(), us(stats.mean_latency_s(CommandKind::kRead)),
-      us(stats.latency_quantile_s(CommandKind::kRead, 0.50)),
-      us(stats.latency_quantile_s(CommandKind::kRead, 0.99)),
-      us(stats.latency_quantile_s(CommandKind::kRead, 0.999)), stall_pct));
+  table.row(strf("%s,%u,%d,%u,", cfg::backend_name(spec.drive.backend),
+                 sharded ? spec.drive.shards : 1, spec.days,
+                 spec.queue_depth) +
+            qos_cells(stats));
 
   if (multi_tenant) {
     table.new_section();
@@ -251,7 +270,7 @@ Table run_scenario(ExperimentContext& ctx) {
   }
 
   if (sharded) {
-    const auto& dev = static_cast<const host::ShardedDevice&>(*device);
+    const auto& dev = static_cast<const host::ShardedDevice&>(device);
     table.new_section();
     table.comment(
         "Per-shard attribution (pages serviced and stall seconds booked "

@@ -15,7 +15,6 @@
 #include "ecc/ecc_model.h"
 #include "flash/rber_model.h"
 #include "host/driver.h"
-#include "host/factory.h"
 #include "host/sharded_device.h"
 #include "host/ssd_device.h"
 #include "nand/chip.h"
@@ -107,8 +106,9 @@ Table run_fig_qos(ExperimentContext& ctx) {
   // 4 submission queues; the same command stream — including trims and
   // flushes — is replayed against each policy, so differences come from
   // the background work each policy induces (reclaim churn, tuning
-  // probes), not from sampling. The drive comes out of host::make_device
-  // (the flash model defaults to the paper's 2y-nm parameters there).
+  // probes), not from sampling. Each combo is a ScenarioSpec driven by
+  // drive_scenario (the flash model defaults to the paper's 2y-nm
+  // parameters there).
   const bool full_scale = ctx.scale() >= 1.0;
   const int days = full_scale ? 3 : 2;
 
@@ -150,69 +150,32 @@ Table run_fig_qos(ExperimentContext& ctx) {
         const Policy& policy = policies[combo / kDepths];
         const int depth = depths[combo % kDepths];
 
-        cfg::DriveSpec drive;
-        drive.backend = cfg::Backend::kAnalytic;
-        drive.blocks = full_scale ? 512 : 64;
-        drive.pages_per_block = full_scale ? 128 : 32;
-        drive.overprovision = 0.2;
-        drive.gc_free_target = 4;
-        drive.vpass_tuning = policy.tuning;
-        drive.read_reclaim_threshold = policy.reclaim;
-        drive.queue_count = 4;
-        const std::unique_ptr<host::Device> device_ptr =
-            host::make_device(drive, drive_seed);
-        host::Device& device = *device_ptr;
-        host::warm_fill(device);
-
-        workload::TraceGenerator gen(profile, device.logical_pages(),
-                                     trace_seed, device.queue_count());
         // Closed-loop replay: keep `depth` commands outstanding; the
         // next command is submitted the instant a completion frees a
         // slot.
-        host::ClosedLoopDriver driver(device, depth);
-        for (int day = 0; day < days; ++day) {
-          driver.run(gen.day_commands());
-          device.end_of_day();
-        }
-
-        const host::CompletionStats& stats = device.stats();
-        const auto us = [](double seconds) { return seconds * 1e6; };
-        using host::CommandKind;
-        double latency_sum_s = 0.0;
-        for (const CommandKind k :
-             {CommandKind::kRead, CommandKind::kWrite, CommandKind::kTrim,
-              CommandKind::kFlush})
-          latency_sum_s += stats.mean_latency_s(k) *
-                           static_cast<double>(stats.commands(k));
-        const double stall_pct =
-            latency_sum_s <= 0.0
-                ? 0.0
-                : stats.stall_seconds() / latency_sum_s * 100.0;
-        return strf(
-            "%s,%d,%llu,%llu,%llu,%llu,%.0f,%.1f,%.1f,%.1f,%.1f,%.1f",
-            policy.name, depth,
-            static_cast<unsigned long long>(
-                stats.commands(CommandKind::kRead)),
-            static_cast<unsigned long long>(
-                stats.commands(CommandKind::kWrite)),
-            static_cast<unsigned long long>(
-                stats.commands(CommandKind::kTrim)),
-            static_cast<unsigned long long>(
-                stats.commands(CommandKind::kFlush)),
-            stats.iops(), us(stats.mean_latency_s(CommandKind::kRead)),
-            us(stats.latency_quantile_s(CommandKind::kRead, 0.50)),
-            us(stats.latency_quantile_s(CommandKind::kRead, 0.99)),
-            us(stats.latency_quantile_s(CommandKind::kRead, 0.999)),
-            stall_pct);
+        cfg::ScenarioSpec spec;
+        spec.days = days;
+        spec.queue_depth = static_cast<std::uint32_t>(depth);
+        spec.drive.backend = cfg::Backend::kAnalytic;
+        spec.drive.blocks = full_scale ? 512 : 64;
+        spec.drive.pages_per_block = full_scale ? 128 : 32;
+        spec.drive.overprovision = 0.2;
+        spec.drive.gc_free_target = 4;
+        spec.drive.vpass_tuning = policy.tuning;
+        spec.drive.read_reclaim_threshold = policy.reclaim;
+        spec.drive.queue_count = 4;
+        spec.workload.profile = profile;
+        const DrivenScenario run =
+            drive_scenario(spec, drive_seed, trace_seed, /*workers=*/1);
+        return strf("%s,%d,", policy.name, depth) +
+               qos_cells(run.device->stats());
       });
 
   Table table;
   table.comment(
       "fig_qos: read latency percentiles vs mitigation policy and queue "
       "depth (closed-loop host, 4 submission queues)");
-  table.row(
-      "policy,queue_depth,reads,writes,trims,flushes,iops,"
-      "read_mean_us,read_p50_us,read_p99_us,read_p999_us,stall_pct");
+  table.row(std::string("policy,queue_depth,") + kQosColumns);
   for (const auto& r : rows) table.row(r);
   return table;
 }
@@ -254,42 +217,27 @@ Table run_fig_qos_mc(ExperimentContext& ctx) {
   const int depths[] = {1, 4, 16};
   std::vector<DepthResult> results;
   for (const int depth : depths) {
-    cfg::DriveSpec drive;
-    drive.backend = cfg::Backend::kShardedMc;
-    drive.shards = kShards;
-    drive.wordlines_per_block = shard_geometry.wordlines_per_block;
-    drive.bitlines = shard_geometry.bitlines;
-    drive.blocks = shard_geometry.blocks;
+    cfg::ScenarioSpec spec;
+    spec.days = days;
+    spec.queue_depth = static_cast<std::uint32_t>(depth);
+    spec.drive.backend = cfg::Backend::kShardedMc;
+    spec.drive.shards = kShards;
+    spec.drive.wordlines_per_block = shard_geometry.wordlines_per_block;
+    spec.drive.bitlines = shard_geometry.bitlines;
+    spec.drive.blocks = shard_geometry.blocks;
     // Pre-age every shard like a characterization drive: the factory
     // applies heavy P/E wear then fresh random data per block
     // (O(bookkeeping) under lazy materialization).
-    drive.pre_wear_pe = kPreWearPe;
-    drive.queue_count = 4;
-    const std::unique_ptr<host::Device> device_ptr =
-        host::make_device(drive, drive_seed, workers);
-    auto& device = static_cast<host::ShardedDevice&>(*device_ptr);
-
-    workload::TraceGenerator gen(profile, device.logical_pages(),
-                                 trace_seed, device.queue_count());
-    host::ClosedLoopDriver driver(device, depth);
-    for (int day = 0; day < days; ++day) {
-      driver.run(gen.day_commands());
-      device.end_of_day();
-    }
+    spec.drive.pre_wear_pe = kPreWearPe;
+    spec.drive.queue_count = 4;
+    spec.workload.profile = profile;
+    const DrivenScenario run =
+        drive_scenario(spec, drive_seed, trace_seed, workers);
+    auto& device = static_cast<host::ShardedDevice&>(*run.device);
 
     const host::CompletionStats& stats = device.stats();
     const auto us = [](double seconds) { return seconds * 1e6; };
     using host::CommandKind;
-    double latency_sum_s = 0.0;
-    for (const CommandKind k :
-         {CommandKind::kRead, CommandKind::kWrite, CommandKind::kTrim,
-          CommandKind::kFlush})
-      latency_sum_s +=
-          stats.mean_latency_s(k) * static_cast<double>(stats.commands(k));
-    const double stall_pct =
-        latency_sum_s <= 0.0
-            ? 0.0
-            : stats.stall_seconds() / latency_sum_s * 100.0;
     const double sensed_bits =
         static_cast<double>(device.pages_read()) *
         static_cast<double>(shard_geometry.bitlines);
@@ -307,8 +255,8 @@ Table run_fig_qos_mc(ExperimentContext& ctx) {
         stats.iops(), us(stats.mean_latency_s(CommandKind::kRead)),
         us(stats.latency_quantile_s(CommandKind::kRead, 0.50)),
         us(stats.latency_quantile_s(CommandKind::kRead, 0.99)),
-        us(stats.latency_quantile_s(CommandKind::kRead, 0.999)), stall_pct,
-        rber, static_cast<unsigned long long>(device.block_rewrites()));
+        us(stats.latency_quantile_s(CommandKind::kRead, 0.999)),
+        stall_pct(stats), rber, static_cast<unsigned long long>(device.block_rewrites()));
     // Per-shard attribution at this depth: where the reads landed, the
     // errors they saw, and the stall seconds booked to each chip.
     for (std::uint32_t s = 0; s < device.shard_count(); ++s) {

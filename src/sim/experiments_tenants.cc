@@ -19,21 +19,18 @@
 // counts and host-observed UBER — the disturb the aggressor generates is
 // visible on the same rows that show who paid for it in latency.
 //
-// Driven with BurstWindowDriver (whole windows co-pending, drained per
-// window), so the completion log — and this table — is a pure function
-// of (seed, scale): byte-identical at any --threads and poll cadence
-// (tests/test_arbitration.cc, tests/test_golden_experiments.cc).
-#include <memory>
+// Each (policy, window) point is a two-tenant ScenarioSpec, which
+// drive_scenario drives with BurstWindowDriver (whole windows
+// co-pending, drained per window), so the completion log — and this
+// table — is a pure function of (seed, scale): byte-identical at any
+// --threads and poll cadence (tests/test_arbitration.cc,
+// tests/test_golden_experiments.cc).
 #include <string>
-#include <vector>
 
 #include "cfg/spec.h"
 #include "host/arbitration.h"
-#include "host/driver.h"
-#include "host/factory.h"
 #include "sim/experiments.h"
 #include "workload/profiles.h"
-#include "workload/tenants.h"
 
 namespace rdsim::sim {
 
@@ -81,35 +78,26 @@ Table run_fig_qos_tenants(ExperimentContext& ctx) {
 
   for (const host::ArbitrationPolicy policy : policies) {
     for (const int window : windows) {
-      cfg::DriveSpec drive;
-      drive.backend = cfg::Backend::kShardedAnalytic;
-      drive.shards = kShards;
-      drive.queue_count = 4;
-      drive.blocks = full_scale ? 256 : 48;  // Per shard.
-      drive.pages_per_block = full_scale ? 128 : 32;
-      drive.overprovision = 0.2;
-      drive.gc_free_target = 4;
-      const std::unique_ptr<host::Device> device =
-          host::make_device(drive, drive_seed, workers);
-      host::warm_fill(*device);
+      cfg::ScenarioSpec spec;
+      spec.days = days;
+      spec.queue_depth = static_cast<std::uint32_t>(window);
+      spec.drive.backend = cfg::Backend::kShardedAnalytic;
+      spec.drive.shards = kShards;
+      spec.drive.queue_count = 4;
+      spec.drive.blocks = full_scale ? 256 : 48;  // Per shard.
+      spec.drive.pages_per_block = full_scale ? 128 : 32;
+      spec.drive.overprovision = 0.2;
+      spec.drive.gc_free_target = 4;
+      spec.tenants.policy = policy;
+      spec.tenants.tenants = {
+          {/*weight=*/8.0, /*deadline_us=*/500.0, victim},
+          {/*weight=*/1.0, /*deadline_us=*/10000.0, aggressor}};
+      const DrivenScenario run =
+          drive_scenario(spec, drive_seed, trace_seed, workers);
 
-      host::ArbitrationConfig arb;
-      arb.policy = policy;
-      arb.tenants = {{/*weight=*/8.0, /*deadline_us=*/500.0},
-                     {/*weight=*/1.0, /*deadline_us=*/10000.0}};
-      device->set_arbitration(arb);
-
-      workload::MultiTenantGenerator gen({victim, aggressor},
-                                         device->logical_pages(), trace_seed);
-      host::BurstWindowDriver driver(*device, window);
-      for (int day = 0; day < days; ++day) {
-        driver.run(gen.day_commands());
-        device->end_of_day();
-      }
-
-      const host::CompletionStats& stats = device->stats();
+      const host::CompletionStats& stats = run.device->stats();
       const auto us = [](double seconds) { return seconds * 1e6; };
-      const auto bits = static_cast<double>(drive.bitlines);
+      const auto bits = static_cast<double>(spec.drive.bitlines);
       using host::CommandKind;
       using host::Status;
       table.row(strf(

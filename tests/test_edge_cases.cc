@@ -2,10 +2,7 @@
 // a downstream user will eventually hit.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "cfg/spec.h"
-#include "common/csv.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "core/endurance.h"
@@ -148,13 +145,6 @@ TEST(EdgeHistogram, SingleBinTakesEverything) {
   h.add(99);
   EXPECT_EQ(h.count(0), 3u);
   EXPECT_DOUBLE_EQ(h.mass(0), 1.0);
-}
-
-TEST(EdgeCsv, NewlineInCellQuoted) {
-  std::ostringstream out;
-  CsvWriter csv(out);
-  csv.row("a\nb");
-  EXPECT_EQ(out.str(), "\"a\nb\"\n");
 }
 
 TEST(EdgeSsd, EmptyDayStillDoesMaintenance) {

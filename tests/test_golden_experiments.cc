@@ -99,11 +99,17 @@ struct GoldenEntry {
 // later deleted in favour of a one-shard ShardedDevice seeded with the
 // raw drive seed, with every hash unchanged: these hashes, recorded on
 // the serial engine, are what pins the two engines' equivalence.
+// fig_trace_replay was re-goldened (0x9885A439 -> 0x0926B35B) when
+// closed-loop trace replay stopped draining the device at every chunk
+// boundary: only its two closed-mode rows moved (read_p50_us), and the
+// new hash equals the old code's output with the whole 200-record trace
+// in one chunk. The queued-drive sweeps moving onto drive_scenario held
+// every other hash.
 constexpr GoldenEntry kGolden[] = {
     {"fig_fleet", 0x94E36796},
     {"fig_qos_tenants", 0xA506CF6E},
     {"fig_qos", 0x21AD8CF4},
-    {"fig_trace_replay", 0x9885A439},
+    {"fig_trace_replay", 0x0926B35B},
     {"fig_qos_mc", 0xFDC18F1D},
     {"fig_reliability", 0x7D2B1260},
     {"scenario", 0x835C0A43},

@@ -8,7 +8,8 @@
 //   4. LBA remapping is a deterministic pure function that keeps requests
 //      contiguous and inside the simulated capacity;
 //   5. open- and closed-loop replay produce deterministic completion
-//      logs — byte-identical across runs and worker counts;
+//      logs — byte-identical across runs, worker counts and chunk
+//      windows;
 //   6. the ClosedLoopDriver completion sink sees every record exactly
 //      once, and the LatencyTracker windows by simulated time.
 #include <gtest/gtest.h>
@@ -241,9 +242,11 @@ std::string log_of(const std::vector<host::Completion>& records) {
   return log;
 }
 
-/// Replays the sample trace against a fresh device; returns the log.
+/// Replays the sample trace against a fresh device in chunks of `window`
+/// records; returns the log.
 std::string replay_sample(const cfg::DriveSpec& drive, int workers,
-                          ReplayMode mode, ReplaySummary* summary) {
+                          ReplayMode mode, ReplaySummary* summary,
+                          std::size_t window = 16) {
   const std::unique_ptr<host::Device> device =
       host::make_device(drive, /*seed=*/5, workers);
   if (drive.is_analytic()) host::warm_fill(*device);
@@ -253,7 +256,7 @@ std::string replay_sample(const cfg::DriveSpec& drive, int workers,
   opts.remap = RemapPolicy::kHash;
   opts.queue_depth = 8;
   opts.speedup = 50.0;
-  opts.window = 16;  // Many windows over 200 records.
+  opts.window = window;  // The default 16 gives many windows.
   std::vector<host::Completion> log;
   *summary = replay_trace(in, *device, opts, nullptr, &log);
   return log_of(log);
@@ -278,6 +281,29 @@ TEST(Replayer, ClosedLoopLogDeterministicAcrossWorkerCounts) {
       replay_sample(tiny_sharded_mc(), 4, ReplayMode::kClosed, &s4);
   EXPECT_EQ(log1, log4);
   EXPECT_EQ(s1.commands, 200u);
+}
+
+TEST(Replayer, ClosedLoopLogIndependentOfWindow) {
+  // The window bounds memory only: 13 chunks of 16 records and one chunk
+  // of all 200 must drive the same schedule, so no chunk boundary may
+  // let the device drain to QD 0.
+  ReplaySummary s16, s4096;
+  const std::string log16 = replay_sample(
+      tiny_sharded_mc(), 1, ReplayMode::kClosed, &s16, /*window=*/16);
+  const std::string log4096 = replay_sample(
+      tiny_sharded_mc(), 1, ReplayMode::kClosed, &s4096, /*window=*/4096);
+  EXPECT_EQ(log16, log4096);
+  EXPECT_EQ(s16.commands, 200u);
+  EXPECT_EQ(s16.stall_seconds, s4096.stall_seconds);
+}
+
+TEST(Replayer, OpenLoopLogIndependentOfWindow) {
+  ReplaySummary s16, s4096;
+  const std::string log16 = replay_sample(
+      tiny_sharded_mc(), 1, ReplayMode::kOpen, &s16, /*window=*/16);
+  const std::string log4096 = replay_sample(
+      tiny_sharded_mc(), 1, ReplayMode::kOpen, &s4096, /*window=*/4096);
+  EXPECT_EQ(log16, log4096);
 }
 
 TEST(Replayer, OpenAndClosedDifferButRepeatExactly) {

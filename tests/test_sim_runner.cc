@@ -1,7 +1,8 @@
 // Tests for the sim layer: the thread-pooled ExperimentRunner, Rng stream
-// splitting, the experiment registry, and the headline determinism
-// contract — the merged result of an experiment is byte-identical no
-// matter how many threads executed it.
+// splitting, the experiment registry, the QoS helpers the queued-drive
+// experiments share, and the headline determinism contract — the merged
+// result of an experiment is byte-identical no matter how many threads
+// executed it.
 #include <atomic>
 #include <stdexcept>
 #include <string>
@@ -10,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "host/stats.h"
 #include "sim/experiment.h"
+#include "sim/experiments.h"
 #include "sim/runner.h"
 #include "sim/table.h"
 
@@ -90,6 +93,24 @@ TEST(Table, WritesCommentsRowsAndSectionBreaks) {
   EXPECT_EQ(table.to_csv(), "# first\na,b\n1,2\n\n# second\nc\n");
   EXPECT_FALSE(table.empty());
   EXPECT_TRUE(Table{}.empty());
+}
+
+TEST(StallPct, ZeroWhenNothingRecordedElseExactStallShare) {
+  host::CompletionStats stats;
+  EXPECT_EQ(stall_pct(stats), 0.0);
+
+  // A 0.25 s read that stalled 0.125 s behind background work and a
+  // 0.75 s write that did not: 0.125 of 1.0 s of total latency.
+  host::Completion read;
+  read.kind = host::CommandKind::kRead;
+  read.complete_time_s = 0.25;
+  read.stall_s = 0.125;
+  host::Completion write;
+  write.kind = host::CommandKind::kWrite;
+  write.complete_time_s = 0.75;
+  stats.add(read);
+  stats.add(write);
+  EXPECT_EQ(stall_pct(stats), 12.5);
 }
 
 TEST(Registry, EveryNameResolvesToItsEntry) {

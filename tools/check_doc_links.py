@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Markdown link checker for the docs CI job (stdlib only).
+"""Markdown link checker behind the docs_links ctest case (stdlib only).
 
 Scans the given markdown files for inline links/images and verifies that
 every relative target exists in the repository; heading anchors within

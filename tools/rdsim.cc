@@ -35,9 +35,10 @@ void print_usage(std::FILE* out) {
                "usage: rdsim --experiment NAME [flags]\n"
                "       rdsim --list\n\nFlags:\n%s",
                rdsim::sim::cli_flag_help());
-  // Enumerate the registry so --help is self-contained (the docs CI job
-  // snapshots this text against docs/rdsim-help.txt; adding an
-  // experiment without regenerating the snapshot fails that job).
+  // Enumerate the registry so --help is self-contained (the
+  // cli_help_snapshot ctest case compares this text with
+  // docs/rdsim-help.txt; adding an experiment without regenerating the
+  // snapshot fails that case).
   std::fprintf(out, "\nExperiments:\n");
   for (const auto& e : rdsim::sim::experiments())
     std::fprintf(out, "  %-20s %s\n", e.name, e.title);
